@@ -277,19 +277,8 @@ def _run_rsb_solve(cfg: RunConfig, args) -> int:
 
 
 def _sweep_rows(result: mc.SweepResult) -> list[dict]:
-    return [
-        {
-            "control": r.control,
-            "estimator": r.estimator,
-            "mse_mean": r.mse_mean,
-            "mse_stderr": r.mse_stderr,
-            "median_se": r.median_se,
-            "rs_energy": r.rs_prediction,
-            "rsb_energy": r.rsb_prediction,
-            "flags": list(r.flags),
-        }
-        for r in result.rows
-    ]
+    # json writes the flags tuple as a list
+    return [{col: getattr(r, attr) for col, attr in mc.SWEEP_FIELDS} for r in result.rows]
 
 
 def _run_simulate(cfg: RunConfig, args) -> int:

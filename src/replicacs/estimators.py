@@ -137,7 +137,6 @@ def lasso_certificate(inst: Instance, x: np.ndarray, gamma: float) -> float:
 def estimate_lasso(
     inst: Instance,
     gamma: float,
-    sigma_u2: float = 1.0,
     cert_tol: float = 1e-6,
     max_iter: int = 20000,
 ) -> EstimateReport:
@@ -252,7 +251,6 @@ def _exhaustive_l0(inst: Instance, gamma: float) -> np.ndarray:
 def estimate_l0(
     inst: Instance,
     gamma: float,
-    sigma_u2: float = 1.0,
     mode: str = "iht",
 ) -> EstimateReport:
     """L0-penalized estimate: IHT heuristic or exact support enumeration."""

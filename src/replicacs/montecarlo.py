@@ -46,8 +46,6 @@ PRESETS = {
     "paper_section4": {"snr_db": -10.0},
 }
 
-CSV_HEADER = "control,estimator,mse_mean,mse_stderr,median_se,rs_energy,rsb_energy,flags"
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -75,6 +73,8 @@ class SweepSpec:
                 raise ValueError(f"ratio controls need grid values in (0, 1], got {self.grid}")
         elif not all(g > 0.0 for g in self.grid):
             raise ValueError(f"gamma grid values must be positive, got {self.grid}")
+        if self.gamma is not None and not self.gamma > 0.0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.N < 8:
@@ -94,6 +94,20 @@ class SweepRow:
     rs_prediction: float | None
     rsb_prediction: float | None
     flags: tuple[str, ...] = ()
+
+
+#: (CSV/JSON column, SweepRow attribute) of each sweep field, in output order
+SWEEP_FIELDS = (
+    ("control", "control"),
+    ("estimator", "estimator"),
+    ("mse_mean", "mse_mean"),
+    ("mse_stderr", "mse_stderr"),
+    ("median_se", "median_se"),
+    ("rs_energy", "rs_prediction"),
+    ("rsb_energy", "rsb_prediction"),
+    ("flags", "flags"),
+)
+CSV_HEADER = ",".join(col for col, _ in SWEEP_FIELDS)
 
 
 @dataclass
@@ -206,7 +220,7 @@ def _replica_columns(spec: SweepSpec, gp: _GridPoint, name: str):
 
 
 def _run_trial(payload) -> dict[str, float | None]:
-    """One instance, all requested estimators; exceptions become None."""
+    """One instance, all requested estimators; numeric failures become None."""
     (N, M, rho, snr_db, gamma, names, seed_key) = payload
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     inst = generate_instance(N, M, SignalPrior(rho), snr_db, rng)
@@ -222,7 +236,7 @@ def _run_trial(payload) -> dict[str, float | None]:
             else:
                 rep = estimate_l0(inst, gamma)
             out[name] = empirical_mse(inst.x0, rep.xhat)
-        except Exception:
+        except (ArithmeticError, np.linalg.LinAlgError):
             out[name] = None
     return out
 
@@ -308,24 +322,27 @@ def _fmt(x: float | None) -> str:
     return format(float(x), ".17g")
 
 
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ";".join(value)
+    return _fmt(value)
+
+
+def _parse_cell(attr: str, text: str):
+    if attr == "estimator":
+        return text
+    if attr == "flags":
+        return tuple(f for f in text.split(";") if f)
+    return None if text == "" else float(text)
+
+
 def sweep_to_csv(result: SweepResult) -> str:
     """Stable-schema CSV; numbers at 17 significant digits, locale-free."""
     lines = [CSV_HEADER]
     for r in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.control),
-                    r.estimator,
-                    _fmt(r.mse_mean),
-                    _fmt(r.mse_stderr),
-                    _fmt(r.median_se),
-                    _fmt(r.rs_prediction),
-                    _fmt(r.rsb_prediction),
-                    ";".join(r.flags),
-                ]
-            )
-        )
+        lines.append(",".join(_cell(getattr(r, attr)) for _, attr in SWEEP_FIELDS))
     return "\n".join(lines) + "\n"
 
 
@@ -337,21 +354,11 @@ def rows_from_csv(text: str) -> list[SweepRow]:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 8:
+        if len(parts) != len(SWEEP_FIELDS):
             raise ValueError(f"malformed CSV row: {ln!r}")
-        num = lambda s: None if s == "" else float(s)
-        rows.append(
-            SweepRow(
-                control=float(parts[0]),
-                estimator=parts[1],
-                mse_mean=float(parts[2]) if parts[2] else math.nan,
-                mse_stderr=num(parts[3]),
-                median_se=float(parts[4]) if parts[4] else math.nan,
-                rs_prediction=num(parts[5]),
-                rsb_prediction=num(parts[6]),
-                flags=tuple(f for f in parts[7].split(";") if f),
-            )
-        )
+        rows.append(SweepRow(**{
+            attr: _parse_cell(attr, cell) for (_, attr), cell in zip(SWEEP_FIELDS, parts)
+        }))
     return rows
 
 

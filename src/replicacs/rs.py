@@ -22,9 +22,12 @@ iteration:
     for L1 it is the standard LASSO state evolution.  Cross-checked against
     resolvent closed forms and Monte Carlo in the test suite.
 
-Both channels share the closed-form scalar minimizers from
-:mod:`replicacs.priors`; :func:`rs_energy` evaluates the closed-form
-limiting energy from any state.
+Both conventions call one scalar-channel kernel, ``_channel``: the
+pseudo observation x0 + tau z through prox_{kappa f}, with the z
+integrals in Gaussian closed form.  The bare channel is that kernel at
+kappa = lam/(2 e0), tau = f0/(2 e0); the calibrated channel feeds it its
+own (kappa, tau).  :func:`rs_energy` evaluates the closed-form limiting
+energy from any state.
 """
 
 from __future__ import annotations
@@ -135,136 +138,59 @@ def rs_conjugates(cfg: SystemConfig, q0: float, b0: float) -> tuple[float, float
     return e0, f0
 
 
-def _gauss_sf(x) -> np.ndarray:
-    return ndtr(-np.asarray(x, dtype=float))
-
-
-def _prior_response(cfg: SystemConfig, threshold: float, tau: float) -> float:
-    """E over the prior of P_z(|x0 + tau z| > threshold)."""
-    prior = cfg.prior
-    if tau <= 0.0:
-        # noiseless channel: indicator of the bare signal
-        atom = 1.0 if threshold < 0.0 else 0.0
-        act = 2.0 * _gauss_sf(threshold / math.sqrt(prior.active_variance))
-        return (1.0 - prior.rho) * atom + prior.rho * float(act)
-    rule = quad.gauss_hermite_rule(cfg.quad_order)
-    x0, w = quad.prior_nodes(prior, rule)
-    p = _gauss_sf((threshold - x0) / tau) + _gauss_sf((threshold + x0) / tau)
-    return float(np.dot(w, p))
-
-
-def _channel_response(cfg: SystemConfig, kappa: float, tau: float) -> float:
-    """chi = E[d prox_{kappa f}(v)/dv] at v = x0 + tau z, in closed form."""
-    pen = cfg.penalty
-    if kappa <= 0.0 or pen.gamma == 0.0:
-        return 1.0
-    if pen.kind == "l2":
-        return 1.0 / (1.0 + 2.0 * kappa)
-    t = kappa if pen.kind == "l1" else math.sqrt(2.0 * kappa)
-    return _prior_response(cfg, t, tau)
-
-
 def _phi(u: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * u**2) / math.sqrt(2.0 * math.pi)
 
 
-def _mse_l1_given_x0(x0: np.ndarray, tau: float, t: float) -> np.ndarray:
-    # E_z[(soft(x0 + tau z, t) - x0)^2] in closed form
-    a = (t - x0) / tau
-    b = (-t - x0) / tau
-    sf_a = _gauss_sf(a)
-    cdf_b = ndtr(b)
-    phi_a = _phi(a)
-    phi_b = _phi(b)
-    upper = tau**2 * (sf_a + a * phi_a) - 2.0 * tau * t * phi_a + t**2 * sf_a
-    lower = tau**2 * (cdf_b - b * phi_b) - 2.0 * tau * t * phi_b + t**2 * cdf_b
-    inside = x0**2 * np.clip(ndtr(a) - cdf_b, 0.0, 1.0)
-    return upper + lower + inside
+def _channel(
+    cfg: SystemConfig, kappa: float, tau: float, order: int | None = None
+) -> tuple[float, float, float]:
+    """Scalar channel prox_{kappa f}(x0 + tau z): (q, znum, chi) in closed form.
 
-
-def _znum_l1_given_x0(x0: np.ndarray, tau: float, t: float) -> np.ndarray:
-    # E_z[(x0 - soft(x0 + tau z, t)) z] in closed form
-    a = (t - x0) / tau
-    b = (-t - x0) / tau
-    phi_a = _phi(a)
-    phi_b = _phi(b)
-    kept = tau * (_gauss_sf(a) + a * phi_a + ndtr(b) - b * phi_b)
-    return kept - t * (phi_a + phi_b) - x0 * (phi_b - phi_a)
-
-
-def _mse_l0_given_x0(x0: np.ndarray, tau: float, t: float) -> np.ndarray:
-    # E_z[(hard(x0 + tau z, t) - x0)^2]; kept coordinates contribute tau^2 z^2
-    a = (t - x0) / tau
-    b = (-t - x0) / tau
-    phi_a = _phi(a)
-    phi_b = _phi(b)
-    p_in = np.clip(ndtr(a) - ndtr(b), 0.0, 1.0)
-    ez2_in = p_in - (a * phi_a - b * phi_b)
-    return tau**2 * (1.0 - ez2_in) + x0**2 * p_in
-
-
-def _znum_l0_given_x0(x0: np.ndarray, tau: float, t: float) -> np.ndarray:
-    # E_z[(x0 - hard(x0 + tau z, t)) z] in closed form
-    a = (t - x0) / tau
-    b = (-t - x0) / tau
-    phi_a = _phi(a)
-    phi_b = _phi(b)
-    p_in = np.clip(ndtr(a) - ndtr(b), 0.0, 1.0)
-    ez2_in = p_in - (a * phi_a - b * phi_b)
-    return tau * (1.0 - ez2_in) - x0 * (phi_b - phi_a)
-
-
-def _calibrated_mse(cfg: SystemConfig, kappa: float, tau: float) -> float:
-    """q = E[(prox_{kappa f}(x0 + tau z) - x0)^2], z-integral closed form."""
+    q = E[(prox - x0)^2], znum = E[(prox - x0) z], and chi = E[d prox/dv],
+    which is P(keep) for L1/L0 and the shrink factor for L2.  The z
+    integrals are Gaussian closed forms (the prox is piecewise linear in z,
+    which would throttle Gauss-Hermite convergence at the kinks), leaving
+    only the smooth x0 integral to the quadrature rule of ``order``.
+    """
     pen = cfg.penalty
     prior = cfg.prior
-    rule = quad.gauss_hermite_rule(cfg.quad_order)
-    x0, w = quad.prior_nodes(prior, rule)
-    if kappa <= 0.0 or pen.gamma == 0.0:
-        return tau**2
+    if kappa <= 0.0 or pen.lam == 0.0:
+        return tau**2, tau, 1.0
     if pen.kind == "l2":
-        shrink = 1.0 / (1.0 + 2.0 * kappa)
-        bias = (1.0 - shrink) ** 2 * prior.second_moment
-        return bias + shrink**2 * tau**2
+        c = 1.0 / (1.0 + 2.0 * kappa)
+        return (1.0 - c) ** 2 * prior.second_moment + c**2 * tau**2, c * tau, c
+    t = kappa if pen.kind == "l1" else math.sqrt(2.0 * kappa)
+    rule = quad.gauss_hermite_rule(order or cfg.quad_order)
+    x0, w = quad.prior_nodes(prior, rule)
     if tau <= 0.0:
-        xh = prox(pen, x0, 0.5 / kappa)
-        return float(np.dot(w, (x0 - xh) ** 2))
+        # noiseless channel: the prox of the bare signal, kept where |x0| > t
+        xh = prox(pen, x0, pen.lam / (2.0 * kappa))
+        chi = 2.0 * prior.rho * float(ndtr(-t / math.sqrt(prior.active_variance)))
+        return float(np.dot(w, (x0 - xh) ** 2)), 0.0, chi
+    a = (t - x0) / tau
+    b = (-t - x0) / tau
+    phi_a = _phi(a)
+    phi_b = _phi(b)
+    sf_a = ndtr(-a)
+    cdf_b = ndtr(b)
+    p_in = np.clip(ndtr(a) - cdf_b, 0.0, 1.0)  # |v| <= t: the coordinate is killed
+    ez2_kept = 1.0 - (p_in - (a * phi_a - b * phi_b))  # E[z^2; kept]
     if pen.kind == "l1":
-        vals = _mse_l1_given_x0(x0, tau, kappa)
+        upper = tau**2 * (sf_a + a * phi_a) - 2.0 * tau * t * phi_a + t**2 * sf_a
+        lower = tau**2 * (cdf_b - b * phi_b) - 2.0 * tau * t * phi_b + t**2 * cdf_b
+        q = upper + lower + x0**2 * p_in
+        znum = tau * ez2_kept - t * (phi_a + phi_b) - x0 * (phi_b - phi_a)
     else:
-        vals = _mse_l0_given_x0(x0, tau, math.sqrt(2.0 * kappa))
-    return float(np.dot(w, vals))
+        q = tau**2 * ez2_kept + x0**2 * p_in
+        znum = tau * ez2_kept - x0 * (phi_b - phi_a)
+    return float(np.dot(w, q)), float(np.dot(w, znum)), float(np.dot(w, sf_a + cdf_b))
 
 
 def _bare_moments(cfg: SystemConfig, e0: float, f0: float, order: int) -> tuple[float, float]:
-    """Bare-channel q0 integral and b0 numerator, E[(x0-Psi1)^2] and E[(x0-Psi1)z].
-
-    The channel is v = x0 - (f0/2e0) z with the prox threshold set by the
-    penalty; the z integrals are evaluated in their Gaussian closed forms
-    (the minimizers are piecewise linear in z, which would otherwise throttle
-    Gauss-Hermite convergence at the kinks), leaving only the smooth
-    x0 integral to the quadrature rule.
-    """
-    pen = cfg.penalty
-    lam = pen.lam
-    tau = f0 / (2.0 * e0)
-    rule = quad.gauss_hermite_rule(order)
-    x0, wx = quad.prior_nodes(cfg.prior, rule)
-    if tau <= 0.0:
-        psi = prox(pen, x0, e0)
-        return float(np.dot(wx, (x0 - psi) ** 2)), 0.0
-    if lam == 0.0:
-        return tau**2, tau
-    if pen.kind == "l2":
-        c = e0 / (e0 + lam)
-        bias = (1.0 - c) ** 2 * cfg.prior.second_moment
-        return bias + c**2 * tau**2, c * tau
-    t = lam / (2.0 * e0) if pen.kind == "l1" else math.sqrt(lam / e0)
-    mse = _mse_l1_given_x0 if pen.kind == "l1" else _mse_l0_given_x0
-    znum = _znum_l1_given_x0 if pen.kind == "l1" else _znum_l0_given_x0
-    q_rhs = float(np.dot(wx, mse(x0, tau, t)))
-    b_num = float(np.dot(wx, znum(x0, tau, t)))
-    return q_rhs, b_num
+    """Bare-channel q0 integral and b0 numerator: the channel at kappa = lam/2e0, tau = f0/2e0."""
+    q, znum, _ = _channel(cfg, cfg.penalty.lam / (2.0 * e0), f0 / (2.0 * e0), order)
+    return q, znum
 
 
 def _step(old: float, new: float, damping: float) -> float:
@@ -285,7 +211,7 @@ def rs_update(cfg: SystemConfig, state: RsState) -> RsState:
         raise NumericError(f"non-finite state entering rs_update: {state}")
 
     e0, f0 = rs_conjugates(cfg, state.q0, state.b0)
-    q_rhs, b_num = _bare_moments(cfg, e0, f0, cfg.quad_order)
+    q_rhs, b_num, chi = _channel(cfg, cfg.penalty.lam / (2.0 * e0), f0 / (2.0 * e0))
     if not (math.isfinite(q_rhs) and math.isfinite(b_num)):
         raise NumericError(
             f"non-finite moment integral at iteration {state.iterations}: "
@@ -297,9 +223,7 @@ def rs_update(cfg: SystemConfig, state: RsState) -> RsState:
                 f"f0={f0} with b-update numerator {b_num}; q0 = 0 branch"
             )
         # 0/0 continuation via Gaussian integration by parts: b = chi/(2 e0)
-        tau = f0 / (2.0 * e0)
-        kappa_eff = cfg.penalty.lam / (2.0 * e0)
-        b_rhs = _channel_response(cfg, kappa_eff, tau) / (2.0 * e0)
+        b_rhs = chi / (2.0 * e0)
     else:
         b_rhs = b_num / f0
     residual = max(abs(q_rhs - state.q0), abs(b_rhs - state.b0))
@@ -319,21 +243,20 @@ def rs_update(cfg: SystemConfig, state: RsState) -> RsState:
     )
 
 
-def _kappa_to_b0(cfg: SystemConfig, kappa: float, chi: float) -> float:
+def _kappa_to_b0(cfg: SystemConfig, kappa: float) -> float:
     gamma = cfg.penalty.gamma
     su2 = cfg.penalty.sigma_u2
     if gamma > 0.0:
         return su2 * (kappa - gamma) / (cfg.alpha * gamma)
-    denom = 1.0 - cfg.alpha * chi
-    return su2 * chi / denom if denom > 1e-12 else math.inf
+    # gamma = 0 leaves prox the identity, which keeps every coordinate (chi = 1)
+    denom = 1.0 - cfg.alpha
+    return su2 / denom if denom > 1e-12 else math.inf
 
 
 def _calibrated_update(cfg: SystemConfig, state: RsState) -> RsState:
     kappa = state.kappa if state.kappa is not None else _default_kappa(cfg)
-    tau2 = cfg.sigma_0_sq + cfg.alpha * state.q0
-    tau = math.sqrt(tau2)
-    q_rhs = _calibrated_mse(cfg, kappa, tau)
-    chi = _channel_response(cfg, kappa, tau)
+    tau = math.sqrt(cfg.sigma_0_sq + cfg.alpha * state.q0)
+    q_rhs, _, chi = _channel(cfg, kappa, tau)
     kappa_rhs = cfg.penalty.gamma + cfg.alpha * kappa * chi
     if not (math.isfinite(q_rhs) and math.isfinite(kappa_rhs)):
         raise NumericError(
@@ -344,14 +267,13 @@ def _calibrated_update(cfg: SystemConfig, state: RsState) -> RsState:
     q_new = _step(state.q0, q_rhs, cfg.damping)
     kappa_new = _step(kappa, kappa_rhs, cfg.damping)
     tau_new = math.sqrt(cfg.sigma_0_sq + cfg.alpha * q_new)
-    chi_new = _channel_response(cfg, kappa_new, tau_new)
     # cost coefficients reproducing the channel: e = lam/(2 kappa), f = 2 e tau
     lam = cfg.penalty.lam
     e_new = lam / (2.0 * kappa_new) if (lam > 0.0 and kappa_new > 0.0) else 1.0
     f_new = 2.0 * e_new * tau_new
     return RsState(
         q0=q_new,
-        b0=_kappa_to_b0(cfg, kappa_new, chi_new),
+        b0=_kappa_to_b0(cfg, kappa_new),
         e0=e_new,
         f0=f_new,
         residual=residual,
@@ -386,8 +308,8 @@ def _degenerate_solve(cfg: SystemConfig, state: RsState) -> RsState:
     it = state.iterations
     for _ in range(cfg.max_iter):
         e0 = r_transform(cfg.law, -b0 / su2) / su2
-        kappa_eff = cfg.penalty.lam / (2.0 * e0)
-        b_rhs = _channel_response(cfg, kappa_eff, 0.0) / (2.0 * e0)
+        _, _, chi = _channel(cfg, cfg.penalty.lam / (2.0 * e0), 0.0)
+        b_rhs = chi / (2.0 * e0)
         residual = abs(b_rhs - b0)
         b0 = _step(b0, b_rhs, cfg.damping)
         it += 1

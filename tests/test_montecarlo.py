@@ -67,6 +67,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(control="gamma", grid=(0.1,), estimators=("omp",))
 
+    def test_nonpositive_gamma_rejected(self):
+        # lasso and l0 would raise on it inside every trial
+        with pytest.raises(ValueError):
+            SweepSpec(control="measurement_ratio", grid=(0.5,), gamma=0.0)
+
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             SweepSpec(control="gamma", grid=(0.1,), N=4)
@@ -171,6 +176,17 @@ class TestRunSweep:
         spec = small_spec(N=128, trials=24, grid=(0.5,), estimators=("lmmse",))
         row = run_sweep(spec).rows[0]
         assert row.rs_prediction == pytest.approx(row.mse_mean, rel=0.25)
+
+    def test_estimator_bug_propagates(self, monkeypatch):
+        # only numeric failures become <name>_failures=; a bug is not one
+        import replicacs.montecarlo as mc
+
+        def broken(inst, gamma):
+            raise TypeError("estimator bug")
+
+        monkeypatch.setattr(mc, "estimate_lasso", broken)
+        with pytest.raises(TypeError, match="estimator bug"):
+            run_sweep(small_spec(trials=1, grid=(0.5,), estimators=("lasso",)), jobs=1)
 
 
 class TestCompareReplica:

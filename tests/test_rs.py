@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from replicacs.montecarlo import ensemble_sigma0_sq
 from replicacs.priors import Penalty, SignalPrior
 from replicacs.rs import (
     CALIBRATED,
@@ -138,6 +139,19 @@ class TestUpdate:
             oracle = ridge_mse_rmt(c, alpha, rho, s02)
             assert st.q0 == pytest.approx(oracle, rel=1e-7)
 
+    @pytest.mark.parametrize("kind", ["l1", "l0"])
+    def test_calibrated_noiseless_channel_is_its_small_tau_limit(self, kind):
+        # q0 = 0 with sigma_0^2 = 0 puts the calibrated channel at tau = 0;
+        # lam = 0.075 tells a threshold at kappa from one at lam kappa
+        cfg = SystemConfig(alpha=0.5, prior=SignalPrior(0.1), penalty=Penalty(kind, 0.3, 4.0),
+                           sigma_0_sq=0.0, channel=CALIBRATED)
+        at_zero, near_zero = (
+            rs_update(cfg, RsState(q0=q0, b0=1.0, e0=1.0, f0=0.0, channel=CALIBRATED, kappa=0.3))
+            for q0 in (0.0, 1e-300)
+        )
+        assert near_zero.q0 > 1e-3
+        assert at_zero.q0 == pytest.approx(near_zero.q0, rel=1e-9)
+
     def test_nan_state_raises(self):
         from replicacs.rs import NumericError
 
@@ -216,6 +230,43 @@ class TestSolve:
         cfg = make_cfg("l0", alpha=2.0)
         st = rs_solve(cfg)
         assert isinstance(st.near_phase_boundary, bool)
+
+
+# predict_mse on the paper grid at rho = 0.1, +10 dB, sigma_u^2 = sigma_0^2 and
+# gamma = sigma_0^2 (l1, l0) or sigma_0^2/2 (l2): (q0, kappa, iterations,
+# converged), recorded before the channel integrals shared one kernel.  The
+# l0 rows pin today's runaway of the calibrated hard-threshold channel.
+PAPER_GRID_PREDICTIONS = {
+    ("l1", 0.2): (0.06087160788925165, 0.8426214239835657, 89, True),
+    ("l1", 0.4): (0.02282494540315741, 0.28575758219940867, 92, True),
+    ("l1", 0.6): (0.017790563133173374, 0.14765153982156384, 96, True),
+    ("l1", 0.8): (0.018881316988522186, 0.08516446183194529, 122, True),
+    ("l1", 1.0): (0.01944044391928959, 0.04883356337609568, 128, True),
+    ("l2", 0.2): (0.08242777581400476, 2.031154136536693, 49, True),
+    ("l2", 0.4): (0.06633380755475571, 0.7706104531217028, 68, True),
+    ("l2", 0.6): (0.053444677712133876, 0.3534550583071257, 103, True),
+    ("l2", 0.8): (0.048318716458872916, 0.15183196387297893, 167, True),
+    ("l2", 1.0): (0.050181067211302284, 0.05256246096338014, 230, True),
+    ("l0", 0.2): (1118905.8438893454, 66839.4778919337, 15, False),
+    ("l0", 0.4): (1032197.629534082, 13875.725823372028, 29, False),
+    ("l0", 0.6): (1326282.7885207995, 5120.997389397969, 57, False),
+    ("l0", 0.8): (1019001.8821882332, 939.3594996307457, 136, False),
+    ("l0", 1.0): (1.1077701541948415, 0.045514110896152066, 500, False),
+}
+
+
+@pytest.mark.parametrize("kind, m_over_n", sorted(PAPER_GRID_PREDICTIONS))
+def test_predict_mse_pinned_on_paper_grid(kind, m_over_n):
+    prior = SignalPrior(0.1)
+    alpha = 1.0 / m_over_n
+    s02 = ensemble_sigma0_sq(alpha, prior, 10.0)
+    gamma = s02 / 2.0 if kind == "l2" else s02
+    cfg = SystemConfig(alpha=alpha, prior=prior, penalty=Penalty(kind, gamma, s02), sigma_0_sq=s02)
+    st = predict_mse(cfg)
+    q0, kappa, iterations, converged = PAPER_GRID_PREDICTIONS[(kind, m_over_n)]
+    assert st.q0 == pytest.approx(q0, rel=1e-12)
+    assert st.kappa == pytest.approx(kappa, rel=1e-12)
+    assert (st.iterations, st.converged) == (iterations, converged)
 
 
 class TestCalibratedAgainstMonteCarlo:
