@@ -316,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
             "validation sweeps (simulate, compare) for compressed-sensing MAP "
             "estimators.  Defaults: penalty l1, rho 0.1, snr +10 dB (preset "
             "'paper_section4' selects the printed -10 dB), gamma and sigma_u^2 "
-            "matched to the true noise variance, quadrature order 40, damping 0.5, "
-            "tol 1e-10, max 500 iterations, channel 'bare' "
+            "matched to the true noise variance, quadrature order 40 (1RSB grid only), "
+            "damping 0.5, tol 1e-10, max 500 iterations, channel 'bare' "
             "(channel 'calibrated' gives the noise-consistent MSE prediction)."
         ),
     )

@@ -219,12 +219,15 @@ def _replica_columns(spec: SweepSpec, gp: _GridPoint, name: str):
     return rs_pred, rsb_pred, flags
 
 
-def _run_trial(payload) -> dict[str, float | None]:
-    """One instance, all requested estimators; numeric failures become None."""
+def _run_trial(payload) -> dict[str, tuple[float, bool] | None]:
+    """One instance, all requested estimators: (squared error, converged) each.
+
+    Numeric failures become None.
+    """
     (N, M, rho, snr_db, gamma, names, seed_key) = payload
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     inst = generate_instance(N, M, SignalPrior(rho), snr_db, rng)
-    out: dict[str, float | None] = {}
+    out: dict[str, tuple[float, bool] | None] = {}
     for name in names:
         try:
             if name == "ls":
@@ -235,35 +238,44 @@ def _run_trial(payload) -> dict[str, float | None]:
                 rep = estimate_lasso(inst, gamma)
             else:
                 rep = estimate_l0(inst, gamma)
-            out[name] = empirical_mse(inst.x0, rep.xhat)
+            out[name] = (empirical_mse(inst.x0, rep.xhat), bool(rep.converged))
         except (ArithmeticError, np.linalg.LinAlgError):
             out[name] = None
     return out
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Execute the sweep; deterministic for any jobs value given the seed."""
-    result = SweepResult(spec=spec)
-    for gi, value in enumerate(spec.grid):
-        gp = _grid_point(spec, value)
-        payloads = [
-            (spec.N, gp.M, gp.rho, gp.snr_db, gp.gamma, spec.estimators,
-             (spec.seed, gi, ti))
-            for ti in range(spec.trials)
-        ]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                trial_results = list(pool.map(_run_trial, payloads, chunksize=8))
-        else:
-            trial_results = [_run_trial(p) for p in payloads]
+    """Execute the sweep; deterministic for any jobs value given the seed.
 
+    Unconverged estimates are averaged in and counted in a
+    ``<name>_nonconv=k`` flag; numeric failures are left out and counted in
+    ``<name>_failures=k``.
+    """
+    result = SweepResult(spec=spec)
+    points = [_grid_point(spec, value) for value in spec.grid]
+    payloads = [
+        (spec.N, gp.M, gp.rho, gp.snr_db, gp.gamma, spec.estimators, (spec.seed, gi, ti))
+        for gi, gp in enumerate(points)
+        for ti in range(spec.trials)
+    ]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            trials = list(pool.map(_run_trial, payloads, chunksize=8))
+    else:
+        trials = [_run_trial(p) for p in payloads]
+
+    for gi, (value, gp) in enumerate(zip(spec.grid, points)):
+        trial_results = trials[gi * spec.trials:(gi + 1) * spec.trials]
         for name in spec.estimators:
-            ses = [tr[name] for tr in trial_results]
-            good = np.array([s for s in ses if s is not None], dtype=float)
-            n_fail = sum(1 for s in ses if s is None)
+            ests = [tr[name] for tr in trial_results if tr[name] is not None]
+            good = np.array([se for se, _ in ests], dtype=float)
+            n_fail = len(trial_results) - len(ests)
+            n_nonconv = sum(1 for _, converged in ests if not converged)
             rs_pred, rsb_pred, flags = _replica_columns(spec, gp, name)
             if n_fail:
                 flags.append(f"{name}_failures={n_fail}")
+            if n_nonconv:
+                flags.append(f"{name}_nonconv={n_nonconv}")
             if good.size == 0:
                 row = SweepRow(value, name, math.nan, None, math.nan,
                                rs_pred, rsb_pred, tuple(flags))

@@ -23,11 +23,12 @@ iteration:
     resolvent closed forms and Monte Carlo in the test suite.
 
 Both conventions call one scalar-channel kernel, ``_channel``: the
-pseudo observation x0 + tau z through prox_{kappa f}, with the z
-integrals in Gaussian closed form.  The bare channel is that kernel at
-kappa = lam/(2 e0), tau = f0/(2 e0); the calibrated channel feeds it its
-own (kappa, tau).  :func:`rs_energy` evaluates the closed-form limiting
-energy from any state.
+pseudo observation x0 + tau z through prox_{kappa f}.  Over the
+Bernoulli-Gaussian prior every moment is a Gaussian tail integral at the
+threshold, so the RS layer uses no quadrature.  The bare channel is that
+kernel at kappa = lam/(2 e0), tau = f0/(2 e0); the calibrated channel
+feeds it its own (kappa, tau).  :func:`rs_energy` evaluates the
+closed-form limiting energy from any state.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
 from scipy.special import ndtr
 
 from . import quadrature as quad
-from .priors import Penalty, SignalPrior, prox
+from .priors import Penalty, SignalPrior, prox  # noqa: F401 (perfbench counts rs.prox calls)
 from .spectral import SpectralLaw, r_transform, r_transform_derivative
 
 BARE = "bare"
@@ -65,7 +65,7 @@ class SystemConfig:
     prior: SignalPrior
     penalty: Penalty
     sigma_0_sq: float = 0.0
-    quad_order: int = quad.DEFAULT_ORDER
+    quad_order: int = quad.DEFAULT_ORDER  # the 1RSB grid; the RS channel is exact
     damping: float = 0.5
     tol: float = 1e-10
     max_iter: int = 500
@@ -108,7 +108,6 @@ class RsState:
     converged: bool = False
     channel: str = BARE
     kappa: float | None = None
-    near_phase_boundary: bool = False
 
     def as_dict(self) -> dict:
         out = {
@@ -120,7 +119,6 @@ class RsState:
             "iterations": self.iterations,
             "converged": self.converged,
             "channel": self.channel,
-            "near_phase_boundary": self.near_phase_boundary,
         }
         if self.kappa is not None:
             out["kappa"] = self.kappa
@@ -138,20 +136,15 @@ def rs_conjugates(cfg: SystemConfig, q0: float, b0: float) -> tuple[float, float
     return e0, f0
 
 
-def _phi(u: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * u**2) / math.sqrt(2.0 * math.pi)
-
-
-def _channel(
-    cfg: SystemConfig, kappa: float, tau: float, order: int | None = None
-) -> tuple[float, float, float]:
+def _channel(cfg: SystemConfig, kappa: float, tau: float) -> tuple[float, float, float]:
     """Scalar channel prox_{kappa f}(x0 + tau z): (q, znum, chi) in closed form.
 
     q = E[(prox - x0)^2], znum = E[(prox - x0) z], and chi = E[d prox/dv],
-    which is P(keep) for L1/L0 and the shrink factor for L2.  The z
-    integrals are Gaussian closed forms (the prox is piecewise linear in z,
-    which would throttle Gauss-Hermite convergence at the kinks), leaving
-    only the smooth x0 integral to the quadrature rule of ``order``.
+    which is P(keep) for L1/L0 and the shrink factor for L2.  On each
+    branch of the Bernoulli-Gaussian prior (x0 = 0, or x0 ~ N(0, vx)) the
+    pseudo observation v = x0 + tau z is N(0, s^2) with s^2 = vx + tau^2,
+    and E[x0 | v] = (vx/s^2) v, E[z | v] = (tau/s^2) v, so every moment is
+    a Gaussian tail integral of the prox eta(v) above the threshold t.
     """
     pen = cfg.penalty
     prior = cfg.prior
@@ -161,35 +154,29 @@ def _channel(
         c = 1.0 / (1.0 + 2.0 * kappa)
         return (1.0 - c) ** 2 * prior.second_moment + c**2 * tau**2, c * tau, c
     t = kappa if pen.kind == "l1" else math.sqrt(2.0 * kappa)
-    rule = quad.gauss_hermite_rule(order or cfg.quad_order)
-    x0, w = quad.prior_nodes(prior, rule)
-    if tau <= 0.0:
-        # noiseless channel: the prox of the bare signal, kept where |x0| > t
-        xh = prox(pen, x0, pen.lam / (2.0 * kappa))
-        chi = 2.0 * prior.rho * float(ndtr(-t / math.sqrt(prior.active_variance)))
-        return float(np.dot(w, (x0 - xh) ** 2)), 0.0, chi
-    a = (t - x0) / tau
-    b = (-t - x0) / tau
-    phi_a = _phi(a)
-    phi_b = _phi(b)
-    sf_a = ndtr(-a)
-    cdf_b = ndtr(b)
-    p_in = np.clip(ndtr(a) - cdf_b, 0.0, 1.0)  # |v| <= t: the coordinate is killed
-    ez2_kept = 1.0 - (p_in - (a * phi_a - b * phi_b))  # E[z^2; kept]
-    if pen.kind == "l1":
-        upper = tau**2 * (sf_a + a * phi_a) - 2.0 * tau * t * phi_a + t**2 * sf_a
-        lower = tau**2 * (cdf_b - b * phi_b) - 2.0 * tau * t * phi_b + t**2 * cdf_b
-        q = upper + lower + x0**2 * p_in
-        znum = tau * ez2_kept - t * (phi_a + phi_b) - x0 * (phi_b - phi_a)
-    else:
-        q = tau**2 * ez2_kept + x0**2 * p_in
-        znum = tau * ez2_kept - x0 * (phi_b - phi_a)
-    return float(np.dot(w, q)), float(np.dot(w, znum)), float(np.dot(w, sf_a + cdf_b))
+    q = znum = chi = 0.0
+    for w, vx in ((1.0 - prior.rho, 0.0), (prior.rho, prior.active_variance)):
+        s2 = vx + tau**2
+        if s2 == 0.0:
+            continue  # x0 = v = 0: the prox returns the signal exactly
+        u = t / math.sqrt(s2)
+        sf = float(ndtr(-u))
+        u_phi = u * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        # eta_v = E[eta v] / s^2 and eta_sq = E[eta^2] / s^2
+        if pen.kind == "l1":  # eta = sign(v)(|v| - t)
+            eta_v = 2.0 * sf  # Stein: E[eta v] = s^2 E[eta']
+            eta_sq = 2.0 * ((1.0 + u * u) * sf - u_phi)
+        else:  # eta = v 1{|v| > t}
+            eta_v = eta_sq = 2.0 * (u_phi + sf)
+        q += w * (s2 * eta_sq - 2.0 * vx * eta_v + vx)
+        znum += w * tau * eta_v
+        chi += w * 2.0 * sf
+    return q, znum, chi
 
 
-def _bare_moments(cfg: SystemConfig, e0: float, f0: float, order: int) -> tuple[float, float]:
+def _bare_moments(cfg: SystemConfig, e0: float, f0: float) -> tuple[float, float]:
     """Bare-channel q0 integral and b0 numerator: the channel at kappa = lam/2e0, tau = f0/2e0."""
-    q, znum, _ = _channel(cfg, cfg.penalty.lam / (2.0 * e0), f0 / (2.0 * e0), order)
+    q, znum, _ = _channel(cfg, cfg.penalty.lam / (2.0 * e0), f0 / (2.0 * e0))
     return q, znum
 
 
@@ -355,7 +342,7 @@ def rs_solve(cfg: SystemConfig, init: RsState | None = None) -> RsState:
                 state = replace(state, converged=False)
                 break
             state = _degenerate_solve(cfg, state)
-            q_check, _ = _bare_moments(cfg, state.e0, 0.0, cfg.quad_order)
+            q_check, _ = _bare_moments(cfg, state.e0, 0.0)
             if q_check <= 10.0 * cfg.tol:
                 break  # genuine perfect-reconstruction fixed point
             if restarted:
@@ -369,16 +356,7 @@ def rs_solve(cfg: SystemConfig, init: RsState | None = None) -> RsState:
             continue
         if state.converged or state.iterations >= cfg.max_iter:
             break
-    if cfg.channel == BARE and cfg.penalty.kind == "l0" and state.converged:
-        state.near_phase_boundary = _l0_order_check(cfg, state)
     return state
-
-
-def _l0_order_check(cfg: SystemConfig, state: RsState) -> bool:
-    """Double the quadrature order once; large drift flags a phase boundary."""
-    lo = _bare_moments(cfg, state.e0, state.f0, cfg.quad_order)
-    hi = _bare_moments(cfg, state.e0, state.f0, 2 * cfg.quad_order)
-    return max(abs(lo[0] - hi[0]), abs(lo[1] - hi[1])) > 1e-4
 
 
 def rs_energy(cfg: SystemConfig, state: RsState) -> float:

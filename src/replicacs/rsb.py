@@ -180,16 +180,21 @@ def rsb_update(cfg: SystemConfig, state: RsbState) -> RsbState:
     quadrature error on discontinuous minimizers) and is checked by
     :func:`moment_residuals`; driving it directly would amplify quadrature
     noise by 1/mu1.  When the y channel is dead (g1 = 0, collapsed blocks)
-    the updates reduce to the RS moment pair.
+    the updates reduce to the RS moment pair, evaluated in closed form as in
+    :func:`moment_residuals`.
     """
     if not all(map(math.isfinite, (state.q1, state.p1, state.b1, state.mu1))):
         raise NumericError(f"non-finite state entering rsb_update: {state}")
     e1, g1, f1 = rsb_conjugates(cfg, state.q1, state.p1, state.b1, state.mu1)
-    grid = _grid_for(cfg.quad_order, cfg.prior, cfg.penalty)
-    ev = grid.evaluate(e1, f1, g1, state.mu1)
-    s_q = grid.average(ev["m2"])
-    s_btw = grid.average(ev["m1"] ** 2)
-    z_num = grid.average(grid.z[None, :] * ev["m1"])
+    if g1 < _F1_TINY:
+        s_q, z_num = _bare_moments(cfg, e1, HS_SCALE * f1)
+        s_btw = s_q
+    else:
+        grid = _grid_for(cfg.quad_order, cfg.prior, cfg.penalty)
+        ev = grid.evaluate(e1, f1, g1, state.mu1)
+        s_q = grid.average(ev["m2"])
+        s_btw = grid.average(ev["m1"] ** 2)
+        z_num = grid.average(grid.z[None, :] * ev["m1"])
     if f1 < _F1_TINY:
         if abs(z_num) > 1e-10:
             raise DegenerateChannelError(
@@ -228,7 +233,7 @@ def moment_residuals(cfg: SystemConfig, state: RsbState) -> tuple[float, float, 
     """
     e1, g1, f1 = rsb_conjugates(cfg, state.q1, state.p1, state.b1, state.mu1)
     if g1 < _F1_TINY:
-        q_rhs, b_num = _bare_moments(cfg, e1, HS_SCALE * f1, cfg.quad_order)
+        q_rhs, b_num = _bare_moments(cfg, e1, HS_SCALE * f1)
         r_q = abs(state.q1 + state.p1 - q_rhs)
         if f1 > _F1_TINY:
             r_z = abs(state.b1 + state.mu1 * state.p1 - b_num / (HS_SCALE * f1))

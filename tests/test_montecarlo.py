@@ -188,6 +188,21 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="estimator bug"):
             run_sweep(small_spec(trials=1, grid=(0.5,), estimators=("lasso",)), jobs=1)
 
+    def test_unconverged_estimates_flagged(self, monkeypatch):
+        # an unconverged estimate is averaged in, and the row says how many
+        import replicacs.montecarlo as mc
+        from replicacs.estimators import EstimateReport
+
+        def stalled(inst, gamma):
+            return EstimateReport(xhat=np.zeros_like(inst.x0), objective=math.nan,
+                                  certificate=math.inf, converged=False)
+
+        monkeypatch.setattr(mc, "estimate_lasso", stalled)
+        lmmse, lasso = run_sweep(small_spec(trials=3, grid=(0.5,)), jobs=1).rows
+        assert "lasso_nonconv=3" in lasso.flags
+        assert lasso.mse_mean > 0.0
+        assert not any("nonconv" in f for f in lmmse.flags)
+
 
 class TestCompareReplica:
     def test_relative_gap(self):

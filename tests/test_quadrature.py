@@ -144,20 +144,3 @@ class TestIntegratePrior:
         got = integrate_prior(SignalPrior(rho), rule, lambda x: a * x + 1.0)
         assert got == pytest.approx(1.0, abs=1e-12)
 
-
-def test_solver_facing_integrals_stable_under_order_doubling():
-    # the channel moments the solver consumes must not move between order 20
-    # and order 40 on the acceptance-style workloads
-    from replicacs.priors import Penalty
-    from replicacs.rs import SystemConfig, _bare_moments, rs_conjugates, rs_solve
-
-    for kind, mn in (("l1", 0.2), ("l1", 1.0), ("l0", 0.4), ("l2", 0.6)):
-        alpha = 1.0 / mn
-        s02 = alpha * 0.1 / 10.0
-        cfg = SystemConfig(alpha=alpha, prior=SignalPrior(0.1),
-                           penalty=Penalty(kind, s02, s02), sigma_0_sq=s02)
-        st = rs_solve(cfg)
-        e0, f0 = rs_conjugates(cfg, st.q0, st.b0)
-        lo = _bare_moments(cfg, e0, f0, 20)
-        hi = _bare_moments(cfg, e0, f0, 40)
-        assert max(abs(lo[0] - hi[0]), abs(lo[1] - hi[1])) < 1e-8, (kind, mn)

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from replicacs.montecarlo import ensemble_sigma0_sq
-from replicacs.priors import Penalty, SignalPrior
+from replicacs.priors import Penalty, SignalPrior, prox
 from replicacs.rs import (
     CALIBRATED,
     BARE,
     RsState,
     SystemConfig,
+    _channel,
     default_init,
     predict_mse,
     rs_conjugates,
@@ -47,6 +49,37 @@ def ridge_mse_rmt(c, alpha, rho, sigma0_sq):
     sp = -1.0 / (1.0 / s1**2 - alpha / (1.0 + alpha * s1) ** 2)
     s2 = -sp
     return c * c * rho * s2 + sigma0_sq * (s1 - c * s2)
+
+
+def _gauss(x):
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def channel_oracle(cfg, kappa, tau):
+    """(q, znum, chi) of prox_{kappa f}(x0 + tau z) by nested adaptive quadrature."""
+    pen, prior = cfg.penalty, cfg.prior
+    e = pen.lam / (2.0 * kappa)  # prox(pen, v, e) is prox_{kappa f}(v)
+    t = kappa if pen.kind == "l1" else math.sqrt(2.0 * kappa)
+    sx = math.sqrt(prior.active_variance)
+    tol = dict(epsabs=1e-13, epsrel=1e-10, limit=200)
+
+    def inner(x0, f):
+        # |z| <= 8.5 holds all but 1e-16 of the mass; the prox has kinks at v = +-t
+        kinks = [z for z in ((-t - x0) / tau, (t - x0) / tau) if abs(z) < 8.5]
+        integrand = lambda z: _gauss(z) * f(x0, z, prox(pen, x0 + tau * z, e))
+        return quad(integrand, -8.5, 8.5, points=kinks or None, **tol)[0]
+
+    moments = (
+        lambda x0, z, xh: (xh - x0) ** 2,
+        lambda x0, z, xh: (xh - x0) * z,
+        lambda x0, z, xh: float(xh != 0.0),
+    )
+    out = []
+    for f in moments:
+        # prox is odd, so each inner integral is even in x0: fold onto x0 >= 0
+        active = 2.0 * quad(lambda x0: _gauss(x0 / sx) / sx * inner(x0, f), 0.0, 8.5 * sx, **tol)[0]
+        out.append((1.0 - prior.rho) * inner(0.0, f) + prior.rho * active)
+    return out
 
 
 # ---------------------------------------------------------------- conjugates
@@ -151,6 +184,15 @@ class TestUpdate:
         )
         assert near_zero.q0 > 1e-3
         assert at_zero.q0 == pytest.approx(near_zero.q0, rel=1e-9)
+        assert at_zero.kappa == pytest.approx(near_zero.kappa, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["l1", "l0"])
+    @pytest.mark.parametrize("kappa, tau", [(0.0488, 0.172), (0.148, 0.215), (0.3, 0.05)])
+    def test_channel_matches_nested_quadrature_oracle(self, kind, kappa, tau):
+        # lam = 0.075 tells a threshold at kappa from one at lam kappa
+        cfg = SystemConfig(alpha=0.5, prior=SignalPrior(0.1), penalty=Penalty(kind, 0.3, 4.0))
+        got = _channel(cfg, kappa, tau)
+        assert got == pytest.approx(channel_oracle(cfg, kappa, tau), rel=1e-9)
 
     def test_nan_state_raises(self):
         from replicacs.rs import NumericError
@@ -226,32 +268,28 @@ class TestSolve:
         assert st.q0 == pytest.approx(0.3)
         assert st.b0 == cfg.penalty.sigma_u2
 
-    def test_l0_near_boundary_flag_is_bool(self):
-        cfg = make_cfg("l0", alpha=2.0)
-        st = rs_solve(cfg)
-        assert isinstance(st.near_phase_boundary, bool)
-
 
 # predict_mse on the paper grid at rho = 0.1, +10 dB, sigma_u^2 = sigma_0^2 and
 # gamma = sigma_0^2 (l1, l0) or sigma_0^2/2 (l2): (q0, kappa, iterations,
-# converged), recorded before the channel integrals shared one kernel.  The
-# l0 rows pin today's runaway of the calibrated hard-threshold channel.
+# converged), recorded when the channel kernel became exact over the prior
+# (the l2 rows were already exact).  The l0 rows pin today's runaway of the
+# calibrated hard-threshold channel.
 PAPER_GRID_PREDICTIONS = {
-    ("l1", 0.2): (0.06087160788925165, 0.8426214239835657, 89, True),
-    ("l1", 0.4): (0.02282494540315741, 0.28575758219940867, 92, True),
-    ("l1", 0.6): (0.017790563133173374, 0.14765153982156384, 96, True),
-    ("l1", 0.8): (0.018881316988522186, 0.08516446183194529, 122, True),
-    ("l1", 1.0): (0.01944044391928959, 0.04883356337609568, 128, True),
+    ("l1", 0.2): (0.06087160788174305, 0.8426214239351149, 89, True),
+    ("l1", 0.4): (0.022823507456619478, 0.2857552381461938, 92, True),
+    ("l1", 0.6): (0.01770729456319503, 0.14735874173120633, 97, True),
+    ("l1", 0.8): (0.01877173266493504, 0.08491683563872104, 122, True),
+    ("l1", 1.0): (0.01933484468466011, 0.04870548101221744, 128, True),
     ("l2", 0.2): (0.08242777581400476, 2.031154136536693, 49, True),
     ("l2", 0.4): (0.06633380755475571, 0.7706104531217028, 68, True),
     ("l2", 0.6): (0.053444677712133876, 0.3534550583071257, 103, True),
     ("l2", 0.8): (0.048318716458872916, 0.15183196387297893, 167, True),
     ("l2", 1.0): (0.050181067211302284, 0.05256246096338014, 230, True),
-    ("l0", 0.2): (1118905.8438893454, 66839.4778919337, 15, False),
-    ("l0", 0.4): (1032197.629534082, 13875.725823372028, 29, False),
-    ("l0", 0.6): (1326282.7885207995, 5120.997389397969, 57, False),
-    ("l0", 0.8): (1019001.8821882332, 939.3594996307457, 136, False),
-    ("l0", 1.0): (1.1077701541948415, 0.045514110896152066, 500, False),
+    ("l0", 0.2): (1118905.8438893645, 66839.47789193464, 15, False),
+    ("l0", 0.4): (1032197.6289301214, 13875.725816616825, 29, False),
+    ("l0", 0.6): (1326282.5261077266, 5120.996505350395, 57, False),
+    ("l0", 0.8): (1018998.6855775719, 939.3569840559813, 136, False),
+    ("l0", 1.0): (1.1077610691485127, 0.04551399317603033, 500, False),
 }
 
 

@@ -148,13 +148,13 @@ class TestUpdate:
     def test_g1_zero_reduces_to_rs_marginals(self):
         # with the y channel off and q1 = q0, the sqrt(2) f1 disturbance
         # equals the RS f0, so the moment updates match the RS right-hand
-        # sides; compare at a smooth workload where quadrature agrees to 1e-6
+        # sides
         from replicacs.rs import _bare_moments, rs_conjugates
 
         cfg = make_cfg("l1", alpha=1.0, quad_order=40)
         rs = rs_solve(cfg)
         e0, f0 = rs_conjugates(cfg, rs.q0, rs.b0)
-        q_rhs, b_num = _bare_moments(cfg, e0, f0, cfg.quad_order)
+        q_rhs, b_num = _bare_moments(cfg, e0, f0)
         st = RsbState(q1=rs.q0, p1=0.0, b1=rs.b0, mu1=1e-6)
         out = rsb_update(cfg, st)
         assert out.q1 + out.p1 == pytest.approx(q_rhs, abs=1e-6)
