@@ -6,6 +6,7 @@ import pytest
 from replicacs.estimators import (
     EXHAUSTIVE_MAX_N,
     Instance,
+    _lipschitz,
     empirical_median_se,
     empirical_mse,
     estimate_l0,
@@ -14,6 +15,8 @@ from replicacs.estimators import (
     estimate_ls,
     lasso_objective,
 )
+from replicacs.montecarlo import ensemble_sigma0_sq, generate_instance
+from replicacs.priors import SignalPrior
 
 
 def make_instance(M, N, rho=0.1, sigma0=0.1, seed=0):
@@ -138,6 +141,16 @@ class TestLasso:
         with pytest.raises(ValueError):
             estimate_lasso(make_instance(10, 20), 0.0)
 
+    @pytest.mark.parametrize("M, max_iterations", [(40, 1500), (200, 800)])
+    def test_restart_keeps_paper_grid_iterations_low(self, M, max_iterations):
+        # matched gamma on the paper's setup; plain FISTA needs >= 2790 / 1470 here
+        N, prior = 200, SignalPrior(0.1)
+        gamma = ensemble_sigma0_sq(N / M, prior, 10.0)
+        for seed in range(8):
+            rep = estimate_lasso(generate_instance(N, M, prior, 10.0, seed), gamma)
+            assert rep.converged
+            assert rep.iterations <= max_iterations
+
 
 class TestL0:
     def test_identity_hard_threshold(self):
@@ -169,6 +182,14 @@ class TestL0:
         with pytest.raises(ValueError):
             estimate_l0(inst, 0.1, mode="exhaustive")
 
+    def test_iht_reports_iteration_cap(self):
+        N, M, prior = 200, 40, SignalPrior(0.1)
+        gamma = ensemble_sigma0_sq(N / M, prior, 10.0)
+        capped = estimate_l0(generate_instance(N, M, prior, 10.0, 0), gamma)
+        assert capped.converged is False
+        assert capped.iterations == 2000
+        assert estimate_l0(generate_instance(N, M, prior, 10.0, 3), gamma).converged is True
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             estimate_l0(make_instance(8, 8), 0.1, mode="greedy")
@@ -189,6 +210,12 @@ class TestErrorMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             empirical_mse(np.zeros(3), np.zeros(4))
+
+
+@pytest.mark.parametrize("shape", [(40, 200), (200, 200), (300, 100)])
+def test_lipschitz_is_top_eigenvalue(shape):
+    A = make_instance(*shape, seed=13).A
+    assert _lipschitz(A) == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12)
 
 
 def test_estimators_deterministic():
