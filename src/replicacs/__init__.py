@@ -11,23 +11,8 @@ from .estimators import (
     estimate_ls,
 )
 from .montecarlo import SweepResult, SweepSpec, compare_replica, generate_instance, run_sweep
-from .priors import (
-    Penalty,
-    SignalPrior,
-    boltzmann_weight_delta,
-    log_boltzmann_weight,
-    penalty_value,
-    sample_signal,
-    scalar_minimizer_rs,
-    scalar_minimizer_rsb,
-)
-from .quadrature import (
-    GaussHermiteRule,
-    gauss_hermite_rule,
-    integrate_gaussian,
-    integrate_gaussian_2d,
-    integrate_prior,
-)
+from .priors import Penalty, SignalPrior, penalty_value, sample_signal
+from .quadrature import GaussHermiteRule, gauss_hermite_rule
 from .rs import RsState, SystemConfig, predict_mse, rs_conjugates, rs_energy, rs_solve, rs_update
 from .rsb import (
     RsbState,
@@ -37,13 +22,7 @@ from .rsb import (
     rsb_solve,
     rsb_update,
 )
-from .spectral import (
-    SpectralLaw,
-    empirical_spectral_moments,
-    greens_function_inverse_check,
-    r_transform,
-    r_transform_derivative,
-)
+from .spectral import SpectralLaw, r_transform, r_transform_derivative
 
 __all__ = [
     "EstimateReport",
@@ -57,22 +36,15 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "SystemConfig",
-    "boltzmann_weight_delta",
     "compare_replica",
     "empirical_median_se",
     "empirical_mse",
-    "empirical_spectral_moments",
     "estimate_l0",
     "estimate_lasso",
     "estimate_lmmse",
     "estimate_ls",
     "gauss_hermite_rule",
     "generate_instance",
-    "greens_function_inverse_check",
-    "integrate_gaussian",
-    "integrate_gaussian_2d",
-    "integrate_prior",
-    "log_boltzmann_weight",
     "mu1_stationarity_residual",
     "penalty_value",
     "predict_mse",
@@ -88,8 +60,6 @@ __all__ = [
     "rsb_update",
     "run_sweep",
     "sample_signal",
-    "scalar_minimizer_rs",
-    "scalar_minimizer_rsb",
 ]
 
 __version__ = "0.1.0"

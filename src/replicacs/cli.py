@@ -15,13 +15,12 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 
-from numpy.linalg import LinAlgError as _np_linalg_error
+from numpy.linalg import LinAlgError
 
 from . import montecarlo as mc
 from .priors import PENALTY_KINDS, Penalty, SignalPrior
-from .rs import BARE, NumericError, SystemConfig, predict_mse, rs_energy, rs_solve
+from .rs import BARE, SystemConfig, predict_mse, rs_energy, rs_solve
 from .rsb import rsb_energy, rsb_solve
-from .spectral import BranchError, PoleError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -368,14 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        NumericError,
-        PoleError,
-        BranchError,
-        FloatingPointError,
-        ZeroDivisionError,
-        _np_linalg_error,
-    ) as exc:
+    except (ArithmeticError, LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_L0_KINDS = ("l0",)
 PENALTY_KINDS = ("l0", "l1", "l2")
 
 
@@ -116,45 +115,6 @@ def minimize_scalar_cost(penalty: Penalty, x0, s, e: float):
     v = np.asarray(x0, dtype=float) - np.asarray(s, dtype=float) / (2.0 * e)
     xhat = prox(penalty, v, e)
     return xhat, scalar_cost(penalty, x0, xhat, s, e)
-
-
-def scalar_minimizer_rs(penalty: Penalty, x0, z, e0: float, f0: float):
-    """RS scalar minimizer: argmin of C with disturbance s = f0 z."""
-    xhat, _ = minimize_scalar_cost(penalty, x0, np.asarray(z, dtype=float) * f0, e0)
-    return xhat
-
-
-def scalar_minimizer_rsb(penalty: Penalty, x0, z, y, e1: float, f1: float, g1: float):
-    """1RSB scalar minimizer: argmin of C with disturbance s = f1 z + g1 y.
-
-    With g1 = 0 this coincides with :func:`scalar_minimizer_rs` evaluated at
-    (e1, f1).
-    """
-    s = f1 * np.asarray(z, dtype=float) + g1 * np.asarray(y, dtype=float)
-    xhat, _ = minimize_scalar_cost(penalty, x0, s, e1)
-    return xhat
-
-
-def log_boltzmann_weight(penalty: Penalty, x0, z, y, e1: float, f1: float, g1: float, mu1: float):
-    """log Delta(y, z) = -mu1 * min_x C(x); safe for any mu1 <= 1e6."""
-    if not mu1 > 0.0:
-        raise ValueError(f"mu1 must be positive, got {mu1}")
-    s = f1 * np.asarray(z, dtype=float) + g1 * np.asarray(y, dtype=float)
-    _, cost = minimize_scalar_cost(penalty, x0, s, e1)
-    return -mu1 * cost
-
-
-def boltzmann_weight_delta(penalty: Penalty, x0, z, y, e1: float, f1: float, g1: float, mu1: float):
-    """Delta(y, z) = exp(-mu1 * min_x C(x)).
-
-    Solvers work with :func:`log_boltzmann_weight` and normalize in the log
-    domain; this direct form is for inspection and stays in (0, 1] whenever
-    the minimal cost is nonnegative.
-    """
-    logw = log_boltzmann_weight(penalty, x0, z, y, e1, f1, g1, mu1)
-    with np.errstate(over="ignore"):
-        out = np.exp(logw)
-    return float(out) if np.ndim(logw) == 0 else out
 
 
 def sample_signal(prior: SignalPrior, n: int, seed) -> np.ndarray:

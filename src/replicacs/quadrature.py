@@ -1,16 +1,14 @@
-"""Deterministic integration against Gaussian measures and the signal prior.
+"""Gauss-Hermite rule and prior nodes for the 1RSB grid.
 
-All Gaussian measures are real standard normals: the fixed-point integrals
-are realized as sums over probabilists' Gauss-Hermite nodes, and real-part
-operators inside integrands reduce to plain products.  This is the real
-convention documented by :data:`GAUSSIAN_MEASURE_CONVENTION`; a complex
+All Gaussian measures are real standard normals: the within-block
+integrals are realized as sums over probabilists' Gauss-Hermite nodes, and
+real-part operators inside integrands reduce to plain products.  A complex
 circular-Gaussian variant would halve per-axis variances and is not
 implemented.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,15 +16,8 @@ import numpy as np
 
 from .priors import SignalPrior
 
-#: All Dz / Dy measures are real N(0,1).  See module docstring.
-GAUSSIAN_MEASURE_CONVENTION = "real"
-
 #: 1-D node count used by the solvers unless configured otherwise.
 DEFAULT_ORDER = 40
-
-
-class IntegrationError(ArithmeticError):
-    """Integrand returned a non-finite value at a quadrature node."""
 
 
 @dataclass(frozen=True)
@@ -41,10 +32,6 @@ class GaussHermiteRule:
     nodes: np.ndarray = field(repr=False, compare=False)
     weights: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError(f"need order >= 2, got {self.order}")
-
 
 @lru_cache(maxsize=64)
 def gauss_hermite_rule(order: int = DEFAULT_ORDER) -> GaussHermiteRule:
@@ -58,58 +45,6 @@ def gauss_hermite_rule(order: int = DEFAULT_ORDER) -> GaussHermiteRule:
     x, w = np.polynomial.hermite.hermgauss(order)
     w = w / w.sum()
     return GaussHermiteRule(order=order, nodes=x * np.sqrt(2.0), weights=w)
-
-
-def _finite_or_raise(vals: np.ndarray, nodes: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        node = np.asarray(nodes)[bad].ravel()[0]
-        raise IntegrationError(f"{what} is non-finite at node {node!r}")
-
-
-def integrate_gaussian(rule: GaussHermiteRule, f) -> float:
-    """Integral of f against the standard normal measure Dz.
-
-    Summation is compensated (fsum) so that symmetric cancellations, e.g. odd
-    moments, come out at roundoff level.
-    """
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    _finite_or_raise(vals, rule.nodes, "integrand")
-    return math.fsum(rule.weights * vals)
-
-
-def integrate_gaussian_2d(rule: GaussHermiteRule, g) -> float:
-    """Tensor-product integral of g(y, z) against Dy Dz."""
-    Y = rule.nodes[:, None]
-    Z = rule.nodes[None, :]
-    vals = np.asarray(g(Y, Z), dtype=float)
-    vals = np.broadcast_to(vals, (rule.order, rule.order))
-    _finite_or_raise(vals, np.broadcast_to(Y, vals.shape), "2-d integrand")
-    W = rule.weights[:, None] * rule.weights[None, :]
-    return math.fsum((W * vals).ravel())
-
-
-def integrate_prior(prior: SignalPrior, rule: GaussHermiteRule, h) -> float:
-    """Integral of h against the Bernoulli-Gaussian signal prior.
-
-    The point mass at zero is added analytically, never quadratured; only
-    the active Gaussian branch (scaled to the prior's active variance) goes
-    through the rule.  Degenerate mixtures only touch their live branch, so
-    rho = 0 depends on h(0) alone and rho = 1 equals a plain Gaussian
-    integral.
-    """
-    atom = 0.0
-    if prior.rho < 1.0:
-        at_zero = float(np.asarray(h(np.zeros(1)), dtype=float).ravel()[0])
-        if not np.isfinite(at_zero):
-            raise IntegrationError("integrand is non-finite at the prior atom x = 0")
-        atom = (1.0 - prior.rho) * at_zero
-    if prior.rho == 0.0:
-        return atom
-    scale = np.sqrt(prior.active_variance)
-    vals = np.asarray(h(scale * rule.nodes), dtype=float)
-    _finite_or_raise(vals, scale * rule.nodes, "prior integrand")
-    return atom + prior.rho * math.fsum(rule.weights * vals)
 
 
 @lru_cache(maxsize=256)

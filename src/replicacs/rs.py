@@ -80,6 +80,8 @@ class SystemConfig:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.quad_order < 2:
+            raise ValueError(f"quad_order must be at least 2, got {self.quad_order}")
         if self.channel not in _CHANNELS:
             raise ValueError(f"channel must be one of {_CHANNELS}, got {self.channel!r}")
 
@@ -93,9 +95,9 @@ class RsState:
     """RS macroscopic variables with convergence metadata.
 
     ``e0`` and ``f0`` are always the coefficients of the scalar cost that
-    generated the state, so feeding them back into
-    :func:`replicacs.priors.scalar_minimizer_rs` reproduces the channel for
-    either convention.  ``kappa`` carries the calibrated prox parameter when
+    generated the state, so :func:`replicacs.priors.minimize_scalar_cost` at
+    e = e0 with disturbance s = f0 z reproduces the channel for either
+    convention.  ``kappa`` carries the calibrated prox parameter when
     that channel is active.
     """
 
@@ -322,9 +324,8 @@ def rs_solve(cfg: SystemConfig, init: RsState | None = None) -> RsState:
     if init is None:
         state = default_init(cfg)
     else:
+        # a calibrated start without kappa takes _default_kappa in the first update
         kappa = init.kappa if cfg.channel == CALIBRATED else None
-        if cfg.channel == CALIBRATED and kappa is None:
-            kappa = _default_kappa(cfg)
         state = replace(init, channel=cfg.channel, kappa=kappa)
     runaway = 1e6 * max(1.0, cfg.prior.second_moment)
     restarted = False
@@ -371,6 +372,6 @@ def rs_energy(cfg: SystemConfig, state: RsState) -> float:
     ) * r_transform_derivative(law, arg)
 
 
-def predict_mse(cfg: SystemConfig, init: RsState | None = None) -> RsState:
+def predict_mse(cfg: SystemConfig) -> RsState:
     """Solve the calibrated channel regardless of cfg.channel; q0 is the MSE."""
-    return rs_solve(replace(cfg, channel=CALIBRATED), init)
+    return rs_solve(replace(cfg, channel=CALIBRATED))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from dataclasses import replace as _replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,8 +42,6 @@ from .rs import (
     _bare_moments,
     rs_solve,
 )
-from dataclasses import replace as _replace
-
 from .spectral import r_antiderivative, r_transform, r_transform_derivative
 
 #: Real-Gaussian Hubbard-Stratonovich factor applied to (f1, g1) in the cost.
@@ -165,6 +164,29 @@ def _grid_for(quad_order: int, prior, penalty) -> _ChannelGrid:
     return _ChannelGrid(quad_order, prior, penalty)
 
 
+def _block_moments(
+    cfg: SystemConfig, e1: float, f1: float, g1: float, mu1: float
+) -> tuple[float, float, float, float]:
+    """Within-block overlap, between-block overlap, z and y numerators.
+
+    With collapsed blocks (g1 = 0) the within-block average is trivial:
+    both overlaps equal the RS q0 integral and the z numerator the RS b0
+    numerator, evaluated in closed form on the bare channel; the y
+    numerator is vacuous there and returned as 0.
+    """
+    if g1 < _F1_TINY:
+        s_q, z_num = _bare_moments(cfg, e1, HS_SCALE * f1)
+        return s_q, s_q, z_num, 0.0
+    grid = _grid_for(cfg.quad_order, cfg.prior, cfg.penalty)
+    ev = grid.evaluate(e1, f1, g1, mu1)
+    return (
+        grid.average(ev["m2"]),
+        grid.average(ev["m1"] ** 2),
+        grid.average(grid.z[None, :] * ev["m1"]),
+        grid.average(ev["m1y"]),
+    )
+
+
 def rsb_update(cfg: SystemConfig, state: RsbState) -> RsbState:
     """One damped step of the three moment equations at fixed mu1.
 
@@ -180,21 +202,12 @@ def rsb_update(cfg: SystemConfig, state: RsbState) -> RsbState:
     quadrature error on discontinuous minimizers) and is checked by
     :func:`moment_residuals`; driving it directly would amplify quadrature
     noise by 1/mu1.  When the y channel is dead (g1 = 0, collapsed blocks)
-    the updates reduce to the RS moment pair, evaluated in closed form as in
-    :func:`moment_residuals`.
+    the updates reduce to the RS moment pair (see :func:`_block_moments`).
     """
     if not all(map(math.isfinite, (state.q1, state.p1, state.b1, state.mu1))):
         raise NumericError(f"non-finite state entering rsb_update: {state}")
     e1, g1, f1 = rsb_conjugates(cfg, state.q1, state.p1, state.b1, state.mu1)
-    if g1 < _F1_TINY:
-        s_q, z_num = _bare_moments(cfg, e1, HS_SCALE * f1)
-        s_btw = s_q
-    else:
-        grid = _grid_for(cfg.quad_order, cfg.prior, cfg.penalty)
-        ev = grid.evaluate(e1, f1, g1, state.mu1)
-        s_q = grid.average(ev["m2"])
-        s_btw = grid.average(ev["m1"] ** 2)
-        z_num = grid.average(grid.z[None, :] * ev["m1"])
+    s_q, s_btw, z_num, _ = _block_moments(cfg, e1, f1, g1, state.mu1)
     if f1 < _F1_TINY:
         if abs(z_num) > 1e-10:
             raise DegenerateChannelError(
@@ -227,27 +240,17 @@ def rsb_update(cfg: SystemConfig, state: RsbState) -> RsbState:
 def moment_residuals(cfg: SystemConfig, state: RsbState) -> tuple[float, float, float]:
     """Absolute defects of the z-moment, y-moment, and overlap equations.
 
-    With collapsed blocks (g1 = 0) the within-block average is trivial and
-    the equations reduce exactly to the RS moment pair, which is evaluated
-    through the closed-form z integrals; the y equation is vacuous there.
+    With collapsed blocks (g1 = 0) the equations reduce exactly to the RS
+    moment pair (see :func:`_block_moments`); the y equation is vacuous there.
     """
     e1, g1, f1 = rsb_conjugates(cfg, state.q1, state.p1, state.b1, state.mu1)
-    if g1 < _F1_TINY:
-        q_rhs, b_num = _bare_moments(cfg, e1, HS_SCALE * f1)
-        r_q = abs(state.q1 + state.p1 - q_rhs)
-        if f1 > _F1_TINY:
-            r_z = abs(state.b1 + state.mu1 * state.p1 - b_num / (HS_SCALE * f1))
-        else:
-            r_z = 0.0
-        return r_z, 0.0, r_q
-    grid = _grid_for(cfg.quad_order, cfg.prior, cfg.penalty)
-    ev = grid.evaluate(e1, f1, g1, state.mu1)
-    s_q = grid.average(ev["m2"])
-    z_num = grid.average(grid.z[None, :] * ev["m1"])
-    y_num = grid.average(ev["m1y"])
+    s_q, _, z_num, y_num = _block_moments(cfg, e1, f1, g1, state.mu1)
     r_q = abs(state.q1 + state.p1 - s_q)
     r_z = abs(state.b1 + state.mu1 * state.p1 - z_num / (HS_SCALE * f1)) if f1 > _F1_TINY else 0.0
-    r_y = abs(state.b1 + (state.q1 + state.p1) * state.mu1 - y_num / (HS_SCALE * g1))
+    r_y = (
+        abs(state.b1 + (state.q1 + state.p1) * state.mu1 - y_num / (HS_SCALE * g1))
+        if g1 >= _F1_TINY else 0.0
+    )
     return r_z, r_y, r_q
 
 

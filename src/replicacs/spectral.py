@@ -1,4 +1,4 @@
-"""R-transform and Green's-function utilities for the white Wishart spectrum.
+"""R-transform of the white Wishart spectrum.
 
 The Gram matrix J = A^T A of an M x N measurement matrix with i.i.d.
 N(0, 1/M) entries has an eigenvalue distribution that converges to the
@@ -8,8 +8,6 @@ R-transform is
     R(z) = 1 / (1 - alpha z),      R'(z) = alpha / (1 - alpha z)^2,
 
 so the first two spectral cumulants are R(0) = 1 and R'(0) = alpha.
-The Green's function (Stieltjes transform) G satisfies the functional
-inversion R(G(z)) + 1/G(z) = z off the spectral support.
 """
 
 from __future__ import annotations
@@ -17,17 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 POLE_TOL = 1e-14
 
 
 class PoleError(ZeroDivisionError):
     """R-transform evaluated at (or numerically on top of) its pole."""
-
-
-class BranchError(ArithmeticError):
-    """No quadratic root of the Green's-function inversion is admissible."""
 
 
 @dataclass(frozen=True)
@@ -40,33 +32,29 @@ class SpectralLaw:
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
-    @property
-    def support(self) -> tuple[float, float]:
-        """Edges of the continuous bulk, [(1-sqrt(alpha))^2, (1+sqrt(alpha))^2]."""
-        r = math.sqrt(self.alpha)
-        return (1.0 - r) ** 2, (1.0 + r) ** 2
+
+def _pole_distance(law: SpectralLaw, z: float) -> float:
+    """1 - alpha z, checked against the pole."""
+    denom = 1.0 - law.alpha * z
+    if abs(denom) < POLE_TOL:
+        raise PoleError(f"R-transform pole: |1 - alpha*z| < {POLE_TOL} at alpha={law.alpha}")
+    return denom
 
 
-def r_transform(law: SpectralLaw, z):
+def r_transform(law: SpectralLaw, z: float) -> float:
     """R(z) = 1/(1 - alpha z).
 
-    Accepts scalars or arrays; raises :class:`PoleError` when any argument
-    sits within ``POLE_TOL`` of the pole z = 1/alpha.
+    Takes a scalar; raises :class:`PoleError` (here and in
+    :func:`r_transform_derivative`) when z sits within ``POLE_TOL`` of the
+    pole z = 1/alpha.
     """
-    denom = 1.0 - law.alpha * np.asarray(z, dtype=float)
-    if np.any(np.abs(denom) < POLE_TOL):
-        raise PoleError(f"R-transform pole: |1 - alpha*z| < {POLE_TOL} at alpha={law.alpha}")
-    out = 1.0 / denom
-    return float(out) if np.ndim(z) == 0 else out
+    return 1.0 / _pole_distance(law, z)
 
 
-def r_transform_derivative(law: SpectralLaw, z):
+def r_transform_derivative(law: SpectralLaw, z: float) -> float:
     """R'(z) = alpha/(1 - alpha z)^2."""
-    denom = 1.0 - law.alpha * np.asarray(z, dtype=float)
-    if np.any(np.abs(denom) < POLE_TOL):
-        raise PoleError(f"R-transform pole: |1 - alpha*z| < {POLE_TOL} at alpha={law.alpha}")
-    out = law.alpha / denom**2
-    return float(out) if np.ndim(z) == 0 else out
+    denom = _pole_distance(law, z)
+    return law.alpha / (denom * denom)
 
 
 def r_antiderivative(law: SpectralLaw, a: float) -> float:
@@ -80,62 +68,3 @@ def r_antiderivative(law: SpectralLaw, a: float) -> float:
     if arg <= 0.0:
         raise PoleError(f"antiderivative crosses the R pole: 1 + alpha*a = {arg}")
     return math.log(arg) / law.alpha
-
-
-def greens_function_inverse_check(law: SpectralLaw, z: float) -> float:
-    """Solve R(G) + 1/G = z for the Marchenko-Pastur law, off support.
-
-    The inversion is a quadratic in G,
-
-        alpha z G^2 + (1 - alpha - z) G + 1 = 0,
-
-    and the physical branch is the one decaying like 1/z at infinity, which
-    off the support is always the root of smaller magnitude.  The returned
-    value satisfies the identity to 1e-10 or a :class:`BranchError` is
-    raised.
-    """
-    a, zz = law.alpha, float(z)
-    if abs(zz) < POLE_TOL:
-        raise BranchError("z = 0 sits inside or at the edge of the spectrum")
-    disc = (zz + a - 1.0) ** 2 - 4.0 * a * zz
-    if disc < 0.0:
-        raise BranchError(f"z={zz} lies inside the spectral support of MP(alpha={a})")
-    root = math.sqrt(disc)
-    # numerically stable pair for alpha*z*G^2 + (1-alpha-z)*G + 1 = 0
-    b = 1.0 - a - zz
-    q = -0.5 * (b + math.copysign(root, b))
-    cands = []
-    if abs(a * zz) > 0.0 and q != 0.0:
-        cands = [q / (a * zz), 1.0 / q]
-    candidates = sorted((g for g in cands if math.isfinite(g) and g != 0.0), key=abs)
-    for g in candidates:
-        if abs(1.0 - a * g) < POLE_TOL:
-            continue
-        if abs(r_transform(law, g) + 1.0 / g - zz) < 1e-10:
-            return g
-    raise BranchError(f"no admissible Green's-function branch at z={zz}, alpha={a}")
-
-
-def empirical_spectral_moments(
-    matrix_dims: tuple[int, int],
-    seed: int,
-    n_trials: int,
-) -> tuple[float, float]:
-    """Averaged first two spectral moments of A^T A over sampled matrices.
-
-    A is M x N with i.i.d. N(0, 1/M) entries.  Returns the trial-averaged
-    mean and variance of the eigenvalues, which converge to (1, alpha) by
-    the Marchenko-Pastur cumulants.
-    """
-    M, N = matrix_dims
-    if M < 2 or N < 2:
-        raise ValueError(f"need M, N >= 2, got {matrix_dims}")
-    means = np.empty(n_trials)
-    variances = np.empty(n_trials)
-    for t, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
-        rng = np.random.default_rng(child)
-        A = rng.normal(0.0, 1.0 / math.sqrt(M), size=(M, N))
-        lam = np.linalg.eigvalsh(A.T @ A)
-        means[t] = lam.mean()
-        variances[t] = lam.var()
-    return float(means.mean()), float(variances.mean())

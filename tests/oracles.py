@@ -1,0 +1,85 @@
+"""Reference code the tests compare the package against.
+
+Not collected by pytest; test modules import it as ``oracles``.
+
+The Green's function (Stieltjes transform) G of the Marchenko-Pastur law
+satisfies the functional inversion R(G(z)) + 1/G(z) = z off the spectral
+support, which gives an independent check of :func:`r_transform`.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from replicacs.spectral import POLE_TOL, SpectralLaw, r_transform
+
+
+class BranchError(ArithmeticError):
+    """No quadratic root of the Green's-function inversion is admissible."""
+
+
+def mp_support(law: SpectralLaw) -> tuple[float, float]:
+    """Edges of the continuous bulk, [(1-sqrt(alpha))^2, (1+sqrt(alpha))^2]."""
+    r = math.sqrt(law.alpha)
+    return (1.0 - r) ** 2, (1.0 + r) ** 2
+
+
+def greens_function_inverse_check(law: SpectralLaw, z: float) -> float:
+    """Solve R(G) + 1/G = z for the Marchenko-Pastur law, off support.
+
+    The inversion is a quadratic in G,
+
+        alpha z G^2 + (1 - alpha - z) G + 1 = 0,
+
+    and the physical branch is the one decaying like 1/z at infinity, which
+    off the support is always the root of smaller magnitude.  The returned
+    value satisfies the identity to 1e-10 or a :class:`BranchError` is
+    raised.
+    """
+    a, zz = law.alpha, float(z)
+    if abs(zz) < POLE_TOL:
+        raise BranchError("z = 0 sits inside or at the edge of the spectrum")
+    disc = (zz + a - 1.0) ** 2 - 4.0 * a * zz
+    if disc < 0.0:
+        raise BranchError(f"z={zz} lies inside the spectral support of MP(alpha={a})")
+    root = math.sqrt(disc)
+    # numerically stable pair for alpha*z*G^2 + (1-alpha-z)*G + 1 = 0
+    b = 1.0 - a - zz
+    q = -0.5 * (b + math.copysign(root, b))
+    cands = []
+    if abs(a * zz) > 0.0 and q != 0.0:
+        cands = [q / (a * zz), 1.0 / q]
+    candidates = sorted((g for g in cands if math.isfinite(g) and g != 0.0), key=abs)
+    for g in candidates:
+        if abs(1.0 - a * g) < POLE_TOL:
+            continue
+        if abs(r_transform(law, g) + 1.0 / g - zz) < 1e-10:
+            return g
+    raise BranchError(f"no admissible Green's-function branch at z={zz}, alpha={a}")
+
+
+def empirical_spectral_moments(
+    matrix_dims: tuple[int, int],
+    seed: int,
+    n_trials: int,
+) -> tuple[float, float]:
+    """Averaged first two spectral moments of A^T A over sampled matrices.
+
+    A is M x N with i.i.d. N(0, 1/M) entries.  Returns the trial-averaged
+    mean and variance of the eigenvalues, which converge to (1, alpha) by
+    the Marchenko-Pastur cumulants.
+    """
+    M, N = matrix_dims
+    if M < 2 or N < 2:
+        raise ValueError(f"need M, N >= 2, got {matrix_dims}")
+    means = np.empty(n_trials)
+    variances = np.empty(n_trials)
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        rng = np.random.default_rng(child)
+        A = rng.normal(0.0, 1.0 / math.sqrt(M), size=(M, N))
+        lam = np.linalg.eigvalsh(A.T @ A)
+        means[t] = lam.mean()
+        variances[t] = lam.var()
+    return float(means.mean()), float(variances.mean())

@@ -3,9 +3,11 @@ import os
 
 import pytest
 
+from replicacs import cli
 from replicacs.cli import (
     EXIT_CONFIG,
     EXIT_NONCONV,
+    EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
     atomic_write,
@@ -102,6 +104,24 @@ class TestVerbs:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "config error" in err
+
+    def test_quad_order_below_two_is_config_error(self, capsys):
+        code = main(["rsb-solve", "--set", "alpha=2", "--set", "quad_order=1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "config error" in err and "quad_order" in err
+
+    def test_solver_arithmetic_error_is_numeric_exit(self, capsys, monkeypatch):
+        from replicacs.rsb import InconsistentStateError
+
+        def inconsistent(cfg):
+            raise InconsistentStateError("negative g1 bracket")
+
+        monkeypatch.setattr(cli, "rsb_solve", inconsistent)
+        code = main(["rsb-solve", "--set", "alpha=2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert "numeric error" in err and "g1 bracket" in err
 
     def test_simulate_csv_shape(self, tmp_path, capsys):
         path = write(

@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 from replicacs.priors import (
     Penalty,
     SignalPrior,
-    boltzmann_weight_delta,
-    log_boltzmann_weight,
     minimize_scalar_cost,
     penalty_value,
     sample_signal,
     scalar_cost,
-    scalar_minimizer_rs,
-    scalar_minimizer_rsb,
 )
+from replicacs.rsb import HS_SCALE, _grid_for
 
 # dense grid plus the exact atom at 0: floating-point arange never lands on
 # 0.0 exactly, and the L0 penalty charges every off-atom point
@@ -46,18 +43,20 @@ class TestPenaltyValue:
 
 
 class TestScalarMinimizerRs:
+    """The RS channel: disturbance s = f0 z at cost curvature e0."""
+
     def test_l1_kills_small_inputs(self):
         pen = Penalty("l1", 0.5, 1.0)
-        assert scalar_minimizer_rs(pen, x0=0.0, z=0.1, e0=1.0, f0=0.5) == 0.0
+        assert minimize_scalar_cost(pen, 0.0, 0.5 * 0.1, 1.0)[0] == 0.0
 
     def test_l2_calculus(self):
         # gamma = sigma_u^2 so lam = 1: argmin (1-x)^2 + x^2 = 1/2
         pen = Penalty("l2", 1.0, 1.0)
-        assert scalar_minimizer_rs(pen, x0=1.0, z=0.0, e0=1.0, f0=0.0) == pytest.approx(0.5)
+        assert minimize_scalar_cost(pen, 1.0, 0.0, 1.0)[0] == pytest.approx(0.5)
 
     def test_l1_matches_grid_oracle(self):
         pen = Penalty("l1", 0.2, 1.0)
-        got = scalar_minimizer_rs(pen, x0=1.0, z=0.3, e0=1.0, f0=0.5)
+        got, _ = minimize_scalar_cost(pen, 1.0, 0.5 * 0.3, 1.0)
         oracle = grid_argmin(pen, 1.0, 0.5 * 0.3, 1.0)
         assert abs(got - oracle) < 1e-4
 
@@ -75,39 +74,44 @@ class TestScalarMinimizerRs:
 
     def test_e0_must_be_positive(self):
         with pytest.raises(ValueError):
-            scalar_minimizer_rs(Penalty("l1", 1.0), 0.0, 0.0, e0=0.0, f0=1.0)
+            minimize_scalar_cost(Penalty("l1", 1.0), 0.0, 1.0 * 0.0, 0.0)
 
     def test_l0_tie_breaks_to_zero(self):
         # e v^2 == lam exactly at the hard threshold
         pen = Penalty("l0", 1.0, 1.0)
-        assert scalar_minimizer_rs(pen, x0=1.0, z=0.0, e0=1.0, f0=0.0) == 0.0
+        assert minimize_scalar_cost(pen, 1.0, 0.0, 1.0)[0] == 0.0
 
 
 class TestScalarMinimizerRsb:
+    """The 1RSB channel: disturbance s = f1 z + g1 y at cost curvature e1."""
+
     def test_reduces_to_rs_when_y_channel_off(self):
-        rng = np.random.default_rng(3)
+        # g1 = 0 makes the within-block average trivial: the 1RSB grid's mean
+        # error at each (x0, z) node is the RS error at f0 = HS_SCALE f1
         for kind in ("l0", "l1", "l2"):
             pen = Penalty(kind, 0.3, 1.0)
-            x0, z, y = rng.normal(size=3)
-            a = scalar_minimizer_rsb(pen, x0, z, y, e1=1.2, f1=0.7, g1=0.0)
-            b = scalar_minimizer_rs(pen, x0, z, e0=1.2, f0=0.7)
-            assert a == b
+            grid = _grid_for(8, SignalPrior(0.3), pen)
+            ev = grid.evaluate(1.2, 0.7, 0.0, 2.0)
+            X, Z = grid.x0[:, None], grid.z[None, :]
+            psi, _ = minimize_scalar_cost(pen, X, HS_SCALE * 0.7 * Z, 1.2)
+            np.testing.assert_allclose(ev["m1"], X - psi, rtol=1e-12, atol=1e-15)
 
     def test_l0_zero_input_stays_zero(self):
         pen = Penalty("l0", 0.5, 1.0)
-        assert scalar_minimizer_rsb(pen, 0.0, 0.0, 0.0, e1=1.0, f1=1.0, g1=0.5) == 0.0
+        assert minimize_scalar_cost(pen, 0.0, 1.0 * 0.0 + 0.5 * 0.0, 1.0)[0] == 0.0
 
     def test_l1_grid_oracle(self):
         pen = Penalty("l1", 0.3, 1.0)
-        got = scalar_minimizer_rsb(pen, 1.0, 0.2, -0.1, e1=2.0, f1=1.0, g1=0.5)
-        oracle = grid_argmin(pen, 1.0, 1.0 * 0.2 + 0.5 * (-0.1), 2.0)
+        s = 1.0 * 0.2 + 0.5 * (-0.1)
+        got, _ = minimize_scalar_cost(pen, 1.0, s, 2.0)
+        oracle = grid_argmin(pen, 1.0, s, 2.0)
         assert abs(got - oracle) < 1e-4
 
     def test_gamma_zero_same_for_all_penalties(self):
         rng = np.random.default_rng(11)
         x0, z, y = rng.normal(size=3)
         outs = {
-            kind: scalar_minimizer_rsb(Penalty(kind, 0.0, 1.0), x0, z, y, 1.5, 0.8, 0.3)
+            kind: minimize_scalar_cost(Penalty(kind, 0.0, 1.0), x0, 0.8 * z + 0.3 * y, 1.5)[0]
             for kind in ("l0", "l1", "l2")
         }
         vals = list(outs.values())
@@ -116,22 +120,21 @@ class TestScalarMinimizerRsb:
 
 
 class TestBoltzmannWeight:
+    """Within-block Gibbs weight Delta = exp(-mu1 min_x C) and its log."""
+
     def test_zero_cost_gives_one(self):
         # x0 = 0 with no disturbance: the minimizer is 0 at zero cost
         pen = Penalty("l1", 0.5, 1.0)
-        assert boltzmann_weight_delta(pen, 0.0, 0.0, 0.0, 1.0, 1.0, 0.5, mu1=3.0) == 1.0
+        _, cost = minimize_scalar_cost(pen, 0.0, 1.0 * 0.0 + 0.5 * 0.0, 1.0)
+        assert math.exp(-3.0 * cost) == 1.0
 
     def test_log_weight_matches_grid_cost(self):
         pen = Penalty("l1", 0.4, 1.0)
         x0, z, y, e1, f1, g1, mu1 = 0.7, 0.2, -0.3, 1.5, 0.9, 0.4, 2.5
         s = f1 * z + g1 * y
         oracle_cost = float(np.min(scalar_cost(pen, x0, GRID, s, e1)))
-        got = log_boltzmann_weight(pen, x0, z, y, e1, f1, g1, mu1)
-        assert got == pytest.approx(-mu1 * oracle_cost, abs=1e-6)
-
-    def test_mu_zero_rejected(self):
-        with pytest.raises(ValueError):
-            log_boltzmann_weight(Penalty("l1", 1.0), 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, mu1=0.0)
+        _, cost = minimize_scalar_cost(pen, x0, s, e1)
+        assert -mu1 * cost == pytest.approx(-mu1 * oracle_cost, abs=1e-6)
 
     def test_in_unit_interval_when_cost_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -140,19 +143,23 @@ class TestBoltzmannWeight:
             x0 = rng.normal()
             _, cost = minimize_scalar_cost(pen, x0, 0.0, rng.uniform(0.5, 2))
             if cost >= 0:
-                w = boltzmann_weight_delta(pen, x0, 0.0, 0.0, 1.0, 0.0, 0.0, mu1=rng.uniform(0.1, 5))
+                _, cost_at_one = minimize_scalar_cost(pen, x0, 0.0, 1.0)
+                w = math.exp(-rng.uniform(0.1, 5) * cost_at_one)
                 assert 0.0 < w <= 1.0
 
     def test_log_domain_no_overflow_huge_mu(self):
-        pen = Penalty("l1", 1.0, 1.0)
-        lw = log_boltzmann_weight(pen, 2.0, 1.0, -1.0, 1.0, 2.0, 1.0, mu1=1e6)
-        assert math.isfinite(lw)
+        # the 1RSB grid normalizes the weights over y in the log domain
+        grid = _grid_for(8, SignalPrior(0.1), Penalty("l1", 1.0, 1.0))
+        ev = grid.evaluate(1.0, 2.0, 1.0, 1e6)
+        for name, field in ev.items():
+            assert np.all(np.isfinite(field)), name
 
     def test_normalization_gauge_invariance(self):
         # shifting every cost by a constant cancels in the normalized weights
         pen = Penalty("l0", 0.8, 1.0)
         y = np.linspace(-3, 3, 31)
-        lw = log_boltzmann_weight(pen, 0.9, 0.4, y, 1.2, 0.6, 0.7, mu1=4.0)
+        _, cost = minimize_scalar_cost(pen, 0.9, 0.6 * 0.4 + 0.7 * y, 1.2)
+        lw = -4.0 * cost
         w1 = np.exp(lw - lw.max())
         w1 /= w1.sum()
         w2 = np.exp((lw + 123.456) - (lw + 123.456).max())
@@ -164,14 +171,14 @@ class TestContinuity:
     def test_l1_minimizer_continuous_in_z(self):
         pen = Penalty("l1", 0.5, 1.0)
         z = np.linspace(-2, 2, 10001)
-        vals = scalar_minimizer_rs(pen, 0.7, z, 1.0, 0.8)
+        vals, _ = minimize_scalar_cost(pen, 0.7, 0.8 * z, 1.0)
         steps = np.abs(np.diff(vals))
         assert steps.max() < 1e-3  # Lipschitz in z, no jumps
 
     def test_l0_minimizer_jumps_only_at_threshold(self):
         pen = Penalty("l0", 0.5, 1.0)
         z = np.linspace(-4, 4, 20001)
-        vals = scalar_minimizer_rs(pen, 0.7, z, 1.0, 0.8)
+        vals, _ = minimize_scalar_cost(pen, 0.7, 0.8 * z, 1.0)
         jumps = np.flatnonzero(np.abs(np.diff(vals)) > 1e-2)
         # hard threshold: values are either 0 or the quadratic minimum
         nz = vals[vals != 0.0]
