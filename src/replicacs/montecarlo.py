@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -207,7 +207,7 @@ def _replica_columns(spec: SweepSpec, gp: _GridPoint, name: str):
         rs_pred = None
     rsb_pred: float | None = None
     if spec.include_rsb and rs_pred is not None and name != "ls":
-        rsb_state = rsb_solve(replace(cfg, channel="bare"))
+        rsb_state = rsb_solve(cfg)  # rsb_solve runs on the bare channel
         if rsb_state.rsb_collapsed:
             flags.append("rsb_collapsed")
             rsb_pred = rs_pred
@@ -308,6 +308,12 @@ class ComparisonRow:
     flags: tuple[str, ...]
 
 
+#: CSV column (and ComparisonRow attribute) of each comparison field, in output order
+COMPARISON_FIELDS = (
+    "control", "estimator", "empirical", "predicted", "gap", "absolute_gap", "flags",
+)
+
+
 def compare_replica(sweep: SweepResult) -> list[ComparisonRow]:
     """Relative (empirical - predicted)/predicted gap per row, guarded."""
     out = []
@@ -375,19 +381,8 @@ def rows_from_csv(text: str) -> list[SweepRow]:
 
 
 def comparison_to_csv(rows: list[ComparisonRow]) -> str:
-    lines = ["control,estimator,empirical,predicted,gap,absolute_gap,flags"]
+    """Comparison CSV in the sweep's cell format; absolute_gap prints as 1/0."""
+    lines = [",".join(COMPARISON_FIELDS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.control),
-                    r.estimator,
-                    _fmt(r.empirical),
-                    _fmt(r.predicted),
-                    _fmt(r.gap),
-                    "1" if r.absolute_gap else "0",
-                    ";".join(r.flags),
-                ]
-            )
-        )
+        lines.append(",".join(_cell(getattr(r, attr)) for attr in COMPARISON_FIELDS))
     return "\n".join(lines) + "\n"

@@ -33,15 +33,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .priors import minimize_scalar_cost
-from .rs import (
-    BARE,
-    DegenerateChannelError,
-    NumericError,
-    RsState,
-    SystemConfig,
-    _bare_moments,
-    rs_solve,
-)
+from .rs import BARE, NumericError, RsState, SystemConfig, _bare_moments, rs_solve
 from .spectral import r_antiderivative, r_transform, r_transform_derivative
 
 #: Real-Gaussian Hubbard-Stratonovich factor applied to (f1, g1) in the cost.
@@ -52,6 +44,10 @@ _P1_COLLAPSE = 1e-9
 _MU1_BRACKET = (1e-3, 1e3)
 _MU1_PROBES = 13
 _MU1_TOL = 1e-6
+
+
+class DegenerateChannelError(ArithmeticError):
+    """Vanishing z-channel scale with a nonzero response numerator."""
 
 
 class InconsistentStateError(ArithmeticError):

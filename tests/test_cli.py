@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -224,3 +226,12 @@ def test_full_precision_formatting():
     x = 0.1234567890123456789
     assert float(_fmt(x)) == x
     assert _fmt(None) == ""
+
+
+def test_cli_import_needs_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the test oracles
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, replicacs.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.returncode == 0

@@ -56,7 +56,7 @@ def _gauss(x):
 
 
 def channel_oracle(cfg, kappa, tau):
-    """(q, znum, chi) of prox_{kappa f}(x0 + tau z) by nested adaptive quadrature."""
+    """(q, stein, keep) of prox_{kappa f}(x0 + tau z) by nested adaptive quadrature."""
     pen, prior = cfg.penalty, cfg.prior
     e = pen.lam / (2.0 * kappa)  # prox(pen, v, e) is prox_{kappa f}(v)
     t = kappa if pen.kind == "l1" else math.sqrt(2.0 * kappa)
@@ -71,7 +71,7 @@ def channel_oracle(cfg, kappa, tau):
 
     moments = (
         lambda x0, z, xh: (xh - x0) ** 2,
-        lambda x0, z, xh: (xh - x0) * z,
+        lambda x0, z, xh: (xh - x0) * z / tau,
         lambda x0, z, xh: float(xh != 0.0),
     )
     out = []
@@ -158,6 +158,18 @@ class TestUpdate:
             assert st.converged
             assert st.q0 == pytest.approx(0.04 / (1.0 - alpha), rel=1e-8)
 
+    @pytest.mark.parametrize("alpha, b0", [(0.5, 2.0 / 3.0), (1.5, 2.0), (3.0, None)])
+    def test_ridgeless_bare_channel(self, alpha, b0):
+        # gamma = 0 leaves the prox the identity, so b0 <- (su2 + alpha b0)/2:
+        # b0 = su2/(2 - alpha) below alpha = 2 and no fixed point above it
+        cfg = make_cfg("l2", alpha=alpha, gamma=0.0, su2=1.0, sigma_0_sq=0.04)
+        st = rs_solve(cfg)
+        if b0 is None:
+            assert not st.converged
+        else:
+            assert st.converged
+            assert st.b0 == pytest.approx(b0, rel=1e-8)
+
     def test_calibrated_l2_matches_resolvent_oracle(self):
         # the ridge estimator (A^T A + cI)^{-1} A^T y is the MAP estimator of
         # the x^2 penalty at weight c/2
@@ -172,18 +184,24 @@ class TestUpdate:
             oracle = ridge_mse_rmt(c, alpha, rho, s02)
             assert st.q0 == pytest.approx(oracle, rel=1e-7)
 
-    @pytest.mark.parametrize("kind", ["l1", "l0"])
-    def test_calibrated_noiseless_channel_is_its_small_tau_limit(self, kind):
-        # q0 = 0 with sigma_0^2 = 0 puts the calibrated channel at tau = 0;
+    @pytest.mark.parametrize("kind, channel, q0_small", [
+        pytest.param(kind, channel, q0_small, id=kind if (channel, q0_small) == (CALIBRATED, 1e-300)
+                     else f"{kind}-{channel}-{q0_small:g}")
+        for kind in ("l1", "l0") for channel in (CALIBRATED, BARE) for q0_small in (1e-300, 1e-22)
+    ])
+    def test_calibrated_noiseless_channel_is_its_small_tau_limit(self, kind, channel, q0_small):
+        # q0 = 0 with sigma_0^2 = 0 puts either channel at tau = 0, and the
+        # update must be continuous there (q0 = 1e-22 makes the bare f0 2.2e-12);
         # lam = 0.075 tells a threshold at kappa from one at lam kappa
         cfg = SystemConfig(alpha=0.5, prior=SignalPrior(0.1), penalty=Penalty(kind, 0.3, 4.0),
-                           sigma_0_sq=0.0, channel=CALIBRATED)
+                           sigma_0_sq=0.0, channel=channel)
         at_zero, near_zero = (
-            rs_update(cfg, RsState(q0=q0, b0=1.0, e0=1.0, f0=0.0, channel=CALIBRATED, kappa=0.3))
-            for q0 in (0.0, 1e-300)
+            rs_update(cfg, RsState(q0=q0, b0=1.0, e0=1.0, f0=0.0, channel=channel, kappa=0.3))
+            for q0 in (0.0, q0_small)
         )
         assert near_zero.q0 > 1e-3
         assert at_zero.q0 == pytest.approx(near_zero.q0, rel=1e-9)
+        assert at_zero.b0 == pytest.approx(near_zero.b0, rel=1e-9)
         assert at_zero.kappa == pytest.approx(near_zero.kappa, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["l1", "l0"])
