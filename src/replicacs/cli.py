@@ -168,11 +168,11 @@ def build_system_config(cfg: RunConfig) -> SystemConfig:
     if sigma_0_sq is None:
         sigma_0_sq = mc.ensemble_sigma0_sq(alpha, prior, snr_db)
     sigma_u2 = _float(cfg, "system", "sigma_u2", None)
-    if sigma_u2 is None:
-        sigma_u2 = sigma_0_sq if sigma_0_sq > 0 else 1.0
     gamma = _float(cfg, "system", "gamma", None)
     if gamma is None:
-        gamma = sigma_u2
+        gamma = mc.matched_gamma(sigma_0_sq) if sigma_u2 is None else sigma_u2
+    if sigma_u2 is None:
+        sigma_u2 = sigma_0_sq if sigma_0_sq > 0 else 1.0
     channel = cfg.get("system", "channel", BARE)
     try:
         penalty = Penalty(kind=kind, gamma=gamma, sigma_u2=sigma_u2)
@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
             "validation sweeps (simulate, compare) for compressed-sensing MAP "
             "estimators.  Defaults: penalty l1, rho 0.1, snr +10 dB (preset "
             "'paper_section4' selects the printed -10 dB), gamma and sigma_u^2 "
-            "matched to the true noise variance, quadrature order 40 (1RSB grid only), "
+            "matched to the true noise variance (noiseless: gamma 1e-3, sigma_u^2 1), "
+            "quadrature order 40 (1RSB grid only), "
             "damping 0.5, tol 1e-10, max 500 iterations, channel 'bare' "
             "(channel 'calibrated' gives the noise-consistent MSE prediction)."
         ),

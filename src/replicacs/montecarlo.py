@@ -128,6 +128,11 @@ def ensemble_sigma0_sq(alpha: float, prior: SignalPrior, snr_db: float) -> float
     return alpha * prior.second_moment / 10.0 ** (snr_db / 10.0)
 
 
+def matched_gamma(sigma0_sq: float) -> float:
+    """Default penalty weight: the noise variance, or 1e-3 for a noiseless system."""
+    return sigma0_sq if sigma0_sq > 0 else 1e-3
+
+
 def generate_instance(N: int, M: int, prior: SignalPrior, snr_db: float, seed) -> Instance:
     """Sample A ~ iid N(0, 1/M), x0 from the prior, and y = A x0 + sigma0 w."""
     if N < 1 or M < 1:
@@ -167,7 +172,7 @@ def _grid_point(spec: SweepSpec, value: float) -> _GridPoint:
     alpha = spec.N / M
     sigma0_sq = ensemble_sigma0_sq(alpha, SignalPrior(rho), spec.snr_db)
     if gamma is None:
-        gamma = sigma0_sq if sigma0_sq > 0 else 1e-3
+        gamma = matched_gamma(sigma0_sq)
     return _GridPoint(
         control=value, M=M, rho=rho, gamma=gamma, sigma0_sq=sigma0_sq, snr_db=spec.snr_db
     )
@@ -176,7 +181,7 @@ def _grid_point(spec: SweepSpec, value: float) -> _GridPoint:
 # MAP penalty matching each estimator.  The L2 closed form
 # A^T (A A^T + gamma I)^{-1} y solves the MAP problem with penalty weight
 # gamma/2 because the per-component penalty is x^2, not x^2/2.
-def _estimator_penalty(name: str, gp: _GridPoint) -> Penalty | None:
+def _estimator_penalty(name: str, gp: _GridPoint) -> Penalty:
     su2 = gp.sigma0_sq if gp.sigma0_sq > 0 else 1.0
     if name == "lmmse":
         return Penalty("l2", gp.gamma / 2.0, su2)
@@ -184,9 +189,7 @@ def _estimator_penalty(name: str, gp: _GridPoint) -> Penalty | None:
         return Penalty("l1", gp.gamma, su2)
     if name == "l0":
         return Penalty("l0", gp.gamma, su2)
-    if name == "ls":
-        return Penalty("l2", 0.0, su2)
-    return None
+    return Penalty("l2", 0.0, su2)  # ls
 
 
 def _replica_columns(spec: SweepSpec, gp: _GridPoint, name: str):

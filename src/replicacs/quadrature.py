@@ -47,13 +47,11 @@ def gauss_hermite_rule(order: int = DEFAULT_ORDER) -> GaussHermiteRule:
     return GaussHermiteRule(order=order, nodes=x * np.sqrt(2.0), weights=w)
 
 
-@lru_cache(maxsize=256)
 def prior_nodes(prior: SignalPrior, rule: GaussHermiteRule) -> tuple[np.ndarray, np.ndarray]:
     """Atom-plus-Gaussian node/weight arrays for vectorized prior averages.
 
     First entry is the atom at zero with mass 1-rho; the rest are the active
-    branch nodes carrying rho-scaled Gauss-Hermite weights.  Cached; callers
-    must treat the arrays as read-only.
+    branch nodes carrying rho-scaled Gauss-Hermite weights.
     """
     scale = np.sqrt(prior.active_variance)
     nodes = np.concatenate([[0.0], scale * rule.nodes])

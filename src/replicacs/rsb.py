@@ -25,9 +25,8 @@ flagged ``rsb_collapsed``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from dataclasses import replace as _replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -71,19 +70,7 @@ class RsbState:
     rsb_collapsed: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "q1": self.q1,
-            "p1": self.p1,
-            "b1": self.b1,
-            "mu1": self.mu1,
-            "e1": self.e1,
-            "f1": self.f1,
-            "g1": self.g1,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "rsb_collapsed": self.rsb_collapsed,
-        }
+        return asdict(self)
 
 
 def rsb_conjugates(
@@ -111,7 +98,7 @@ def rsb_conjugates(
 
 
 class _ChannelGrid:
-    """Shared (x0, z, y) evaluation of the within-block Gibbs averages."""
+    """The within-block Gibbs measure on the (x0, z, y) quadrature grid."""
 
     def __init__(self, quad_order: int, prior, penalty):
         rule = quad.gauss_hermite_rule(quad_order)
@@ -123,7 +110,14 @@ class _ChannelGrid:
         self.penalty = penalty
         self.W_xz = self.wx[:, None] * self.wz[None, :]
 
-    def evaluate(self, e1: float, f1: float, g1: float, mu1: float) -> dict:
+    def evaluate(self, e1: float, f1: float, g1: float, mu1: float) -> tuple[np.ndarray, ...]:
+        """Within-block Gibbs measure: (weight, error, cost, log normalizer).
+
+        Weight, error x0 - Psi2 and cost are (x0, z, y) arrays; callers
+        reduce over y (axis 2).  The weight is Delta Dy / int Delta Dy with
+        Delta = exp(-mu1 cost), normalized in the log domain, and the log
+        normalizer log int Delta Dy is an (x0, z) array.
+        """
         X = self.x0[:, None, None]
         Z = self.z[None, :, None]
         Y = self.y[None, None, :]
@@ -139,47 +133,31 @@ class _ChannelGrid:
         peak = logw.max(axis=2, keepdims=True)
         w = np.exp(logw - peak) * self.wy[None, None, :]
         norm = w.sum(axis=2, keepdims=True)
-        delta_tilde = w / norm
-        err = X - psi
-        m1 = (delta_tilde * err).sum(axis=2)
-        m2 = (delta_tilde * err**2).sum(axis=2)
-        return {
-            "m1": m1,
-            "m2": m2,
-            "m1y": (delta_tilde * err * Y).sum(axis=2),
-            "log_int": peak[..., 0] + np.log(norm[..., 0]),
-            "mean_log_delta": -mu1 * (delta_tilde * cost).sum(axis=2),
-        }
+        return w / norm, X - psi, cost, peak[..., 0] + np.log(norm[..., 0])
 
     def average(self, field: np.ndarray) -> float:
         return float(np.sum(self.W_xz * field))
 
 
-@lru_cache(maxsize=32)
-def _grid_for(quad_order: int, prior, penalty) -> _ChannelGrid:
-    return _ChannelGrid(quad_order, prior, penalty)
-
-
 def _block_moments(
     cfg: SystemConfig, e1: float, f1: float, g1: float, mu1: float
-) -> tuple[float, float, float, float]:
-    """Within-block overlap, between-block overlap, z and y numerators.
+) -> tuple[float, float, float]:
+    """Within-block overlap, between-block overlap and z numerator.
 
     With collapsed blocks (g1 = 0) the within-block average is trivial:
     both overlaps equal the RS q0 integral and the z numerator the RS b0
-    numerator, evaluated in closed form on the bare channel; the y
-    numerator is vacuous there and returned as 0.
+    numerator, evaluated in closed form on the bare channel.
     """
     if g1 < _F1_TINY:
         s_q, z_num = _bare_moments(cfg, e1, HS_SCALE * f1)
-        return s_q, s_q, z_num, 0.0
-    grid = _grid_for(cfg.quad_order, cfg.prior, cfg.penalty)
-    ev = grid.evaluate(e1, f1, g1, mu1)
+        return s_q, s_q, z_num
+    grid = _ChannelGrid(cfg.quad_order, cfg.prior, cfg.penalty)
+    weight, err, _, _ = grid.evaluate(e1, f1, g1, mu1)
+    m1 = (weight * err).sum(axis=2)
     return (
-        grid.average(ev["m2"]),
-        grid.average(ev["m1"] ** 2),
-        grid.average(grid.z[None, :] * ev["m1"]),
-        grid.average(ev["m1y"]),
+        grid.average((weight * err**2).sum(axis=2)),
+        grid.average(m1**2),
+        grid.average(grid.z[None, :] * m1),
     )
 
 
@@ -203,7 +181,7 @@ def rsb_update(cfg: SystemConfig, state: RsbState) -> RsbState:
     if not all(map(math.isfinite, (state.q1, state.p1, state.b1, state.mu1))):
         raise NumericError(f"non-finite state entering rsb_update: {state}")
     e1, g1, f1 = rsb_conjugates(cfg, state.q1, state.p1, state.b1, state.mu1)
-    s_q, s_btw, z_num, _ = _block_moments(cfg, e1, f1, g1, state.mu1)
+    s_q, s_btw, z_num = _block_moments(cfg, e1, f1, g1, state.mu1)
     if f1 < _F1_TINY:
         if abs(z_num) > 1e-10:
             raise DegenerateChannelError(
@@ -240,13 +218,15 @@ def moment_residuals(cfg: SystemConfig, state: RsbState) -> tuple[float, float, 
     moment pair (see :func:`_block_moments`); the y equation is vacuous there.
     """
     e1, g1, f1 = rsb_conjugates(cfg, state.q1, state.p1, state.b1, state.mu1)
-    s_q, _, z_num, y_num = _block_moments(cfg, e1, f1, g1, state.mu1)
+    s_q, _, z_num = _block_moments(cfg, e1, f1, g1, state.mu1)
     r_q = abs(state.q1 + state.p1 - s_q)
     r_z = abs(state.b1 + state.mu1 * state.p1 - z_num / (HS_SCALE * f1)) if f1 > _F1_TINY else 0.0
-    r_y = (
-        abs(state.b1 + (state.q1 + state.p1) * state.mu1 - y_num / (HS_SCALE * g1))
-        if g1 >= _F1_TINY else 0.0
-    )
+    if g1 < _F1_TINY:
+        return r_z, 0.0, r_q
+    grid = _ChannelGrid(cfg.quad_order, cfg.prior, cfg.penalty)
+    weight, err, _, _ = grid.evaluate(e1, f1, g1, state.mu1)
+    y_num = grid.average((weight * err * grid.y[None, None, :]).sum(axis=2))
+    r_y = abs(state.b1 + (state.q1 + state.p1) * state.mu1 - y_num / (HS_SCALE * g1))
     return r_z, r_y, r_q
 
 
@@ -270,10 +250,10 @@ def mu1_stationarity_residual(cfg: SystemConfig, state: RsbState) -> float:
     q1, p1, b1, mu1 = state.q1, state.p1, state.b1, state.mu1
     B = b1 + mu1 * p1
     e1, g1, f1 = rsb_conjugates(cfg, q1, p1, b1, mu1)
-    grid = _grid_for(cfg.quad_order, cfg.prior, cfg.penalty)
-    ev = grid.evaluate(e1, f1, g1, mu1)
-    e_log = grid.average(ev["log_int"])
-    e_mean = grid.average(ev["mean_log_delta"])
+    grid = _ChannelGrid(cfg.quad_order, cfg.prior, cfg.penalty)
+    weight, _, cost, log_norm = grid.evaluate(e1, f1, g1, mu1)
+    e_log = grid.average(log_norm)
+    e_mean = grid.average(-mu1 * (weight * cost).sum(axis=2))
     if not (math.isfinite(e_log) and math.isfinite(e_mean)):
         raise NumericError(f"non-finite log-weight averages: ({e_log}, {e_mean})")
     i_r = r_antiderivative(law, B / su2) - r_antiderivative(law, b1 / su2)
@@ -307,10 +287,10 @@ def _inner_solve(cfg: SystemConfig, mu1: float, init: RsbState, max_iter: int | 
     return state
 
 
-def _collapsed_state(cfg: SystemConfig, rs_state: RsState, mu1: float = 1.0) -> RsbState:
-    e1, g1, f1 = rsb_conjugates(cfg, rs_state.q0, 0.0, rs_state.b0, mu1)
+def _collapsed_state(cfg: SystemConfig, rs_state: RsState) -> RsbState:
+    e1, g1, f1 = rsb_conjugates(cfg, rs_state.q0, 0.0, rs_state.b0, 1.0)
     return RsbState(
-        q1=rs_state.q0, p1=0.0, b1=rs_state.b0, mu1=mu1,
+        q1=rs_state.q0, p1=0.0, b1=rs_state.b0, mu1=1.0,
         e1=e1, f1=f1, g1=g1,
         residual=rs_state.residual,
         iterations=rs_state.iterations,
@@ -340,28 +320,26 @@ def rsb_solve(cfg: SystemConfig, init: RsbState | None = None) -> RsbState:
             mu1=1.0,
         )
 
-    lo, hi = _MU1_BRACKET
-    mus = np.geomspace(lo, hi, _MU1_PROBES)
-    branch: list[tuple[float, RsbState, float]] = []
     probe_cap = min(cfg.max_iter, 200)
+    live = None  # (mu1, state, residual) of the last probe that kept p1 > 0
     # every inner solve starts cold from the seeded init: the nonconvex inner
     # system can hold several fixed points, and warm-starting would make the
     # probed branch depend on probe order
-    for mu in mus:
+    for mu in np.geomspace(*_MU1_BRACKET, _MU1_PROBES):
         st = _inner_solve(bare_cfg, float(mu), init, max_iter=probe_cap)
-        if st.p1 > _P1_COLLAPSE and st.converged:
-            res = mu1_stationarity_residual(bare_cfg, st)
-            branch.append((float(mu), st, res))
-
-    bracket = None
-    for (mu_a, st_a, r_a), (mu_b, st_b, r_b) in zip(branch, branch[1:]):
-        if r_a == 0.0 or r_b == 0.0 or (r_a < 0) != (r_b < 0):
-            bracket = (mu_a, st_a, r_a, mu_b, st_b, r_b)
+        if not (st.p1 > _P1_COLLAPSE and st.converged):
+            continue
+        probe = (float(mu), st, mu1_stationarity_residual(bare_cfg, st))
+        # stop at the first sign change between consecutive live probes
+        if live is not None and (
+            live[2] == 0.0 or probe[2] == 0.0 or (live[2] < 0) != (probe[2] < 0)
+        ):
             break
-    if bracket is None:
+        live = probe
+    else:
         return _collapsed_state(bare_cfg, rs_state)
 
-    mu_a, st_a, r_a, mu_b, st_b, r_b = bracket
+    (mu_a, st_a, r_a), (mu_b, st_b, r_b) = live, probe
     best = min((st_a, r_a), (st_b, r_b), key=lambda t: abs(t[1]))
     for _ in range(40):
         if abs(best[1]) < _MU1_TOL or (mu_b / mu_a) < 1.0 + 1e-9:

@@ -83,3 +83,24 @@ def empirical_spectral_moments(
         means[t] = lam.mean()
         variances[t] = lam.var()
     return float(means.mean()), float(variances.mean())
+
+
+def cd_lasso(A: np.ndarray, y: np.ndarray, gamma: float, sweeps: int, tol: float = 1e-14) -> np.ndarray:
+    """Coordinate descent on (1/2 gamma)||y - Ax||^2 + ||x||_1: the LASSO oracle.
+
+    Solves the equivalent (1/2)||y - Ax||^2 + gamma ||x||_1 coordinatewise,
+    for at most ``sweeps`` passes or until no coordinate moves by ``tol``.
+    """
+    G = A.T @ A
+    c = A.T @ y
+    x = np.zeros(A.shape[1])
+    for _ in range(sweeps):
+        delta = 0.0
+        for j in range(A.shape[1]):
+            r = c[j] - G[j] @ x + G[j, j] * x[j]
+            new = math.copysign(max(abs(r) - gamma, 0.0), r) / G[j, j]
+            delta = max(delta, abs(new - x[j]))
+            x[j] = new
+        if delta < tol:
+            break
+    return x

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import empirical_spectral_moments
+from oracles import cd_lasso, empirical_spectral_moments
 
 from replicacs.estimators import (
     estimate_l0,
@@ -82,10 +82,30 @@ def test_criterion_02_quadrature_exactness():
     report(2, "quadrature-exactness", f"worst moment err={worst:.1e}, mgf err={abs(mgf - math.exp(a * a)):.1e}")
 
 
+def windowed_grid_argmin(pen, x0, s, e, grid, lo, step):
+    """First index of the grid minimum of the scalar cost, as np.argmin gives it.
+
+    The cost is a convex quadratic on each side of the breakpoint 0, so the
+    grid argmin lies within a few steps of a piece's vertex or of 0, or is
+    the appended 0.0 at the last index.  Only those points are evaluated;
+    scanning them in index order keeps np.argmin's tie-break.
+    """
+    v = x0 - s / (2.0 * e)
+    t = pen.lam / (2.0 * e)
+    vertices = {"l0": [v], "l1": [v - t, v + t], "l2": [e * v / (e + pen.lam)]}[pen.kind]
+    centres = np.clip(np.rint((np.array(vertices + [0.0]) - lo) / step), 0, len(grid) - 2)
+    window = (centres[:, None] + np.arange(-3, 4)).ravel()  # +-3 grid points around each
+    idx = np.unique(np.append(window, len(grid) - 1)).astype(int)
+    idx = idx[(idx >= 0) & (idx < len(grid))]
+    return int(idx[np.argmin(scalar_cost(pen, x0, grid[idx], s, e))])
+
+
 def test_criterion_03_scalar_minimizers_vs_grid():
-    grid = np.concatenate([np.arange(-10.0, 10.0 + 1e-12, 1e-5), [0.0]])
+    lo, step = -10.0, 1e-5
+    grid = np.concatenate([np.arange(lo, 10.0 + 1e-12, step), [0.0]])
     rng = np.random.default_rng(7)
     worst = 0.0
+    case = 0
     for kind in ("l0", "l1", "l2"):
         for _ in range(1000):
             pen = Penalty(kind, rng.uniform(0.0, 2.0), rng.uniform(0.2, 2.0))
@@ -96,7 +116,12 @@ def test_criterion_03_scalar_minimizers_vs_grid():
             z, y = rng.normal(size=2)
             s = f1 * z + g1 * y
             xhat, _ = minimize_scalar_cost(pen, x0, s, e)
-            oracle = grid[int(np.argmin(scalar_cost(pen, x0, grid, s, e)))]
+            i_min = windowed_grid_argmin(pen, x0, s, e, grid, lo, step)
+            if case % 50 == 0:
+                # the window must reproduce the brute-force argmin exactly
+                assert i_min == int(np.argmin(scalar_cost(pen, x0, grid, s, e))), (kind, pen, x0, s, e)
+            case += 1
+            oracle = grid[i_min]
             gap = abs(xhat - oracle)
             assert gap <= 1.1e-5, (kind, pen, x0, s, e)
             worst = max(worst, gap)
@@ -245,22 +270,6 @@ def test_criterion_09_fig2_lmmse_insensitive_to_sparsity():
            f"|slope| LMMSE={slope_l2:.3f} vs L1={slope_l1:.3f} (ratio {slope_l2 / slope_l1:.2f})")
 
 
-def cd_lasso(A, y, gamma, sweeps=6000, tol=1e-14):
-    G = A.T @ A
-    c = A.T @ y
-    x = np.zeros(A.shape[1])
-    for _ in range(sweeps):
-        delta = 0.0
-        for j in range(A.shape[1]):
-            r = c[j] - G[j] @ x + G[j, j] * x[j]
-            new = math.copysign(max(abs(r) - gamma, 0.0), r) / G[j, j]
-            delta = max(delta, abs(new - x[j]))
-            x[j] = new
-        if delta < tol:
-            break
-    return x
-
-
 def test_criterion_10_lasso_certificate_and_cd_oracle():
     rng = np.random.default_rng(10)
     worst_cert, worst_gap = 0.0, 0.0
@@ -270,7 +279,7 @@ def test_criterion_10_lasso_certificate_and_cd_oracle():
         gamma = max(inst.sigma0**2, 1e-3)
         rep = estimate_lasso(inst, gamma, cert_tol=1e-7)
         assert rep.certificate <= 1e-6
-        x_cd = cd_lasso(inst.A, inst.y, gamma)
+        x_cd = cd_lasso(inst.A, inst.y, gamma, sweeps=6000)
         gap = abs(rep.objective - lasso_objective(inst, x_cd, gamma))
         assert gap <= 1e-8, (trial, gap)
         worst_cert = max(worst_cert, rep.certificate)

@@ -138,6 +138,22 @@ class TestVerbs:
         assert lines[0].startswith("control,estimator,")
         assert len(lines) == 1 + 2  # header + one row per estimator
 
+    def test_noiseless_rs_solve_predicts_the_sweep_system(self, capsys):
+        # with no noise and no gamma set, rs-solve and the sweep's RS column
+        # use the same default penalty weight, so they predict the same MSE
+        system = ["--set", "rho=0.1", "--set", "penalty=l1", "--set", "snr_db=inf"]
+        assert main(["rs-solve", "--set", "alpha=2"] + system) == EXIT_OK
+        predicted = json.loads(capsys.readouterr().out)["mse_prediction"]
+        sweep = [
+            "--set", "sweep.control=measurement_ratio", "--set", "sweep.grid=0.5",
+            "--set", "sweep.n=40", "--set", "sweep.trials=1",
+            "--set", "sweep.estimators=lasso", "--set", "sweep.include_rsb=false",
+        ]
+        assert main(["simulate", "--seed", "1", "--jobs", "1", "--format", "json"]
+                    + system + sweep) == EXIT_OK
+        (row,) = json.loads(capsys.readouterr().out)
+        assert predicted == row["rs_energy"]
+
     def test_simulate_seed_reproducible_and_jobs_invariant(self, tmp_path):
         path = write(
             tmp_path,

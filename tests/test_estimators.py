@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import cd_lasso
 
 from replicacs.estimators import (
     EXHAUSTIVE_MAX_N,
@@ -31,27 +32,6 @@ def identity_instance(y, sigma0=0.0):
     n = len(y)
     x0 = np.asarray(y, dtype=float)
     return Instance(A=np.eye(n), x0=x0, w=np.zeros(n), y=x0.copy(), sigma0=sigma0)
-
-
-def cd_lasso(A, y, gamma, sweeps=4000, tol=1e-14):
-    """Coordinate descent on (1/2 gamma)||y - Ax||^2 + ||x||_1: the oracle.
-
-    Solves the equivalent (1/2)||y - Ax||^2 + gamma ||x||_1 coordinatewise.
-    """
-    M, N = A.shape
-    G = A.T @ A
-    c = A.T @ y
-    x = np.zeros(N)
-    for _ in range(sweeps):
-        delta = 0.0
-        for j in range(N):
-            r = c[j] - G[j] @ x + G[j, j] * x[j]
-            new = math.copysign(max(abs(r) - gamma, 0.0), r) / G[j, j]
-            delta = max(delta, abs(new - x[j]))
-            x[j] = new
-        if delta < tol:
-            break
-    return x
 
 
 class TestLs:
@@ -121,7 +101,7 @@ class TestLasso:
         inst = make_instance(50, 100, seed=8)
         g = 0.1
         rep = estimate_lasso(inst, g)
-        x_cd = cd_lasso(inst.A, inst.y, g)
+        x_cd = cd_lasso(inst.A, inst.y, g, sweeps=4000)
         assert rep.objective <= lasso_objective(inst, x_cd, g) + 1e-8
         assert abs(rep.objective - lasso_objective(inst, x_cd, g)) < 1e-8
 

@@ -13,7 +13,7 @@ from replicacs.priors import (
     sample_signal,
     scalar_cost,
 )
-from replicacs.rsb import HS_SCALE, _grid_for
+from replicacs.rsb import HS_SCALE, _ChannelGrid
 
 # dense grid plus the exact atom at 0: floating-point arange never lands on
 # 0.0 exactly, and the L0 penalty charges every off-atom point
@@ -90,11 +90,12 @@ class TestScalarMinimizerRsb:
         # error at each (x0, z) node is the RS error at f0 = HS_SCALE f1
         for kind in ("l0", "l1", "l2"):
             pen = Penalty(kind, 0.3, 1.0)
-            grid = _grid_for(8, SignalPrior(0.3), pen)
-            ev = grid.evaluate(1.2, 0.7, 0.0, 2.0)
+            grid = _ChannelGrid(8, SignalPrior(0.3), pen)
+            weight, err, _, _ = grid.evaluate(1.2, 0.7, 0.0, 2.0)
             X, Z = grid.x0[:, None], grid.z[None, :]
             psi, _ = minimize_scalar_cost(pen, X, HS_SCALE * 0.7 * Z, 1.2)
-            np.testing.assert_allclose(ev["m1"], X - psi, rtol=1e-12, atol=1e-15)
+            m1 = (weight * err).sum(axis=2)
+            np.testing.assert_allclose(m1, X - psi, rtol=1e-12, atol=1e-15)
 
     def test_l0_zero_input_stays_zero(self):
         pen = Penalty("l0", 0.5, 1.0)
@@ -149,10 +150,21 @@ class TestBoltzmannWeight:
 
     def test_log_domain_no_overflow_huge_mu(self):
         # the 1RSB grid normalizes the weights over y in the log domain
-        grid = _grid_for(8, SignalPrior(0.1), Penalty("l1", 1.0, 1.0))
-        ev = grid.evaluate(1.0, 2.0, 1.0, 1e6)
-        for name, field in ev.items():
+        mu1 = 1e6
+        grid = _ChannelGrid(8, SignalPrior(0.1), Penalty("l1", 1.0, 1.0))
+        weight, err, cost, log_norm = grid.evaluate(1.0, 2.0, 1.0, mu1)
+        for name, field in dict(weight=weight, err=err, cost=cost, log_norm=log_norm).items():
             assert np.all(np.isfinite(field)), name
+        # the y reductions, and their (x0, z) averages, that the 1RSB equations take
+        reductions = {
+            "m1": (weight * err).sum(axis=2),
+            "m2": (weight * err**2).sum(axis=2),
+            "m1y": (weight * err * grid.y).sum(axis=2),
+            "mean_log_weight": -mu1 * (weight * cost).sum(axis=2),
+            "log_norm": log_norm,
+        }
+        for name, field in reductions.items():
+            assert np.all(np.isfinite(field)) and math.isfinite(grid.average(field)), name
 
     def test_normalization_gauge_invariance(self):
         # shifting every cost by a constant cancels in the normalized weights

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from replicacs.priors import Penalty, SignalPrior
 from replicacs.quadrature import gauss_hermite_rule, prior_nodes
 from replicacs.rs import NumericError
-from replicacs.rsb import _grid_for
+from replicacs.rsb import _ChannelGrid
 
 
 def gaussian_moment(k: int) -> float:
@@ -88,7 +88,7 @@ class TestIntegrateGaussian:
 
     def test_nonfinite_integrand_names_node(self):
         # the 1RSB grid names the (x0, z, y) node where the scalar cost blows up
-        grid = _grid_for(8, SignalPrior(0.1), Penalty("l1", 0.5))
+        grid = _ChannelGrid(8, SignalPrior(0.1), Penalty("l1", 0.5))
         with pytest.raises(NumericError, match=r"\(x0, z, y\) = \("):
             with np.errstate(invalid="ignore", over="ignore"):
                 grid.evaluate(1.0, math.inf, 0.5, 1.0)
