@@ -10,10 +10,10 @@ from .estimators import (
     estimate_lmmse,
     estimate_ls,
 )
-from .montecarlo import SweepResult, SweepSpec, compare_replica, generate_instance, run_sweep
+from .montecarlo import SweepSpec, compare_replica, generate_instance, run_sweep
 from .priors import Penalty, SignalPrior, penalty_value, sample_signal
 from .quadrature import GaussHermiteRule, gauss_hermite_rule
-from .rs import RsState, SystemConfig, predict_mse, rs_conjugates, rs_energy, rs_solve, rs_update
+from .rs import RsState, SystemConfig, predict_mse, rs_energy, rs_solve, rs_update
 from .rsb import (
     RsbState,
     mu1_stationarity_residual,
@@ -33,7 +33,6 @@ __all__ = [
     "RsbState",
     "SignalPrior",
     "SpectralLaw",
-    "SweepResult",
     "SweepSpec",
     "SystemConfig",
     "compare_replica",
@@ -50,7 +49,6 @@ __all__ = [
     "predict_mse",
     "r_transform",
     "r_transform_derivative",
-    "rs_conjugates",
     "rs_energy",
     "rs_solve",
     "rs_update",

@@ -14,11 +14,12 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from functools import cache
 
 from numpy.linalg import LinAlgError
 
 from . import montecarlo as mc
-from .priors import PENALTY_KINDS, Penalty, SignalPrior
+from .priors import PENALTY_KINDS, SignalPrior
 from .rs import BARE, SystemConfig, predict_mse, rs_energy, rs_solve
 from .rsb import rsb_energy, rsb_solve
 
@@ -112,110 +113,99 @@ def parse_config(path: str | None, overrides: list[str] | None = None) -> RunCon
     return cfg
 
 
-def _float(cfg: RunConfig, section: str, key: str, default: float | None) -> float | None:
-    raw = cfg.get(section, key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from exc
-
-
-def _int(cfg: RunConfig, section: str, key: str, default: int) -> int:
-    raw = cfg.get(section, key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from exc
-
-
-def _bool(cfg: RunConfig, section: str, key: str, default: bool) -> bool:
-    raw = cfg.get(section, key)
-    if raw is None:
-        return default
+def _bool(raw: str) -> bool:
     if raw.lower() in ("1", "true", "yes"):
         return True
     if raw.lower() in ("0", "false", "no"):
         return False
-    raise ConfigError(f"{section}.{key} must be boolean, got {raw!r}")
+    raise ValueError(raw)
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+_NOUNS = {float: "a number", int: "an integer", _bool: "boolean", _floats: "a comma list of numbers"}
+
+
+def _value(cfg: RunConfig, section: str, key: str, parse=float):
+    """section.key parsed, or None when it is not set."""
+    raw = cfg.get(section, key)
+    if raw is None:
+        return None
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key} must be {_NOUNS[parse]}, got {raw!r}") from exc
+
+
+def _given(cfg: RunConfig, section: str, parsers: dict) -> dict:
+    """The keys of ``parsers`` set in ``section``, parsed; the rest keep their defaults."""
+    out = {key: _value(cfg, section, key, parse) for key, parse in parsers.items()}
+    return {key: value for key, value in out.items() if value is not None}
 
 
 def _snr_db(cfg: RunConfig) -> float:
     preset = cfg.get("system", "preset", "default")
     if preset not in mc.PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(mc.PRESETS)}")
-    return _float(cfg, "system", "snr_db", mc.PRESETS[preset]["snr_db"])
+    snr_db = _value(cfg, "system", "snr_db")
+    return mc.PRESETS[preset]["snr_db"] if snr_db is None else snr_db
+
+
+# Optional keys are passed on only when set, so each default is written
+# once: in replica_system, SystemConfig, SignalPrior or SweepSpec.
+_SYSTEM = {
+    "gamma": float, "sigma_u2": float, "sigma_0_sq": float,
+    "quad_order": int, "damping": float, "tol": float, "max_iter": int, "channel": str,
+}
+_PRIOR = {"rho": float, "active_variance": float}
+_SWEEP = {
+    "control": str, "grid": _floats, "n": int, "trials": int, "estimators": _names,
+    "m_over_n": float, "include_rsb": _bool,
+}
+#: the [system] keys a sweep reads; simulate and compare reject the others
+_SWEEP_SYSTEM_KEYS = ("rho", "snr_db", "preset", "gamma")
 
 
 def build_system_config(cfg: RunConfig) -> SystemConfig:
-    alpha = _float(cfg, "system", "alpha", None)
+    alpha = _value(cfg, "system", "alpha")
     if alpha is None:
         raise ConfigError("system.alpha is required for solver verbs")
-    rho = _float(cfg, "system", "rho", 0.1)
-    av = _float(cfg, "system", "active_variance", 1.0)
-    try:
-        prior = SignalPrior(rho=rho, active_variance=av)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     kind = cfg.get("system", "penalty", "l1")
     if kind not in PENALTY_KINDS:
         raise ConfigError(f"system.penalty must be one of {PENALTY_KINDS}, got {kind!r}")
     snr_db = _snr_db(cfg)
-    sigma_0_sq = _float(cfg, "system", "sigma_0_sq", None)
-    if sigma_0_sq is None:
-        sigma_0_sq = mc.ensemble_sigma0_sq(alpha, prior, snr_db)
-    sigma_u2 = _float(cfg, "system", "sigma_u2", None)
-    gamma = _float(cfg, "system", "gamma", None)
-    if gamma is None:
-        gamma = mc.matched_gamma(sigma_0_sq) if sigma_u2 is None else sigma_u2
-    if sigma_u2 is None:
-        sigma_u2 = sigma_0_sq if sigma_0_sq > 0 else 1.0
-    channel = cfg.get("system", "channel", BARE)
+    system = _given(cfg, "system", _SYSTEM)
     try:
-        penalty = Penalty(kind=kind, gamma=gamma, sigma_u2=sigma_u2)
-        return SystemConfig(
-            alpha=alpha,
-            prior=prior,
-            penalty=penalty,
-            sigma_0_sq=sigma_0_sq,
-            quad_order=_int(cfg, "system", "quad_order", 40),
-            damping=_float(cfg, "system", "damping", 0.5),
-            tol=_float(cfg, "system", "tol", 1e-10),
-            max_iter=_int(cfg, "system", "max_iter", 500),
-            channel=channel,
-        )
+        prior = SignalPrior(**_given(cfg, "system", _PRIOR))
+        return mc.replica_system(alpha, prior, kind, snr_db, **system)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def build_sweep_spec(cfg: RunConfig, seed: int) -> mc.SweepSpec:
-    control = cfg.get("sweep", "control")
-    grid_raw = cfg.get("sweep", "grid")
-    if control is None or grid_raw is None:
-        raise ConfigError("sweep.control and sweep.grid are required for simulate/compare")
-    try:
-        grid = tuple(float(tok) for tok in grid_raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"sweep.grid must be a comma list of numbers, got {grid_raw!r}") from exc
-    est_raw = cfg.get("sweep", "estimators", "lmmse,lasso")
-    estimators = tuple(tok.strip() for tok in est_raw.split(",") if tok.strip())
-    try:
-        return mc.SweepSpec(
-            control=control,
-            grid=grid,
-            N=_int(cfg, "sweep", "n", 200),
-            trials=_int(cfg, "sweep", "trials", 200),
-            snr_db=_snr_db(cfg),
-            estimators=estimators,
-            seed=seed,
-            rho=_float(cfg, "system", "rho", 0.1),
-            m_over_n=_float(cfg, "sweep", "m_over_n", 0.5),
-            gamma=_float(cfg, "system", "gamma", None),
-            include_rsb=_bool(cfg, "sweep", "include_rsb", True),
+def _reject_unread_system_keys(cfg: RunConfig) -> None:
+    unread = sorted(set(cfg.values.get("system", {})) - set(_SWEEP_SYSTEM_KEYS))
+    if unread:
+        raise ConfigError(
+            f"simulate and compare do not read system.{', system.'.join(unread)}; "
+            f"a sweep reads only {', '.join(_SWEEP_SYSTEM_KEYS)}"
         )
+
+
+def build_sweep_spec(cfg: RunConfig, seed: int) -> mc.SweepSpec:
+    spec = _given(cfg, "sweep", _SWEEP)
+    if "control" not in spec or "grid" not in spec:
+        raise ConfigError("sweep.control and sweep.grid are required for simulate/compare")
+    if "n" in spec:
+        spec["N"] = spec.pop("n")
+    spec.update(_given(cfg, "system", {"rho": float, "gamma": float}))
+    try:
+        return mc.SweepSpec(snr_db=_snr_db(cfg), seed=seed, **spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -268,6 +258,9 @@ def _run_rs_solve(cfg: RunConfig, args) -> int:
 
 def _run_rsb_solve(cfg: RunConfig, args) -> int:
     sys_cfg = build_system_config(cfg)
+    if sys_cfg.channel != BARE:
+        raise ConfigError("rsb-solve solves the bare channel only; "
+                          "there is no noise-consistent 1RSB system yet")
     state = rsb_solve(sys_cfg)
     doc = state.as_dict()
     doc["energy"] = rsb_energy(sys_cfg, state)
@@ -275,38 +268,33 @@ def _run_rsb_solve(cfg: RunConfig, args) -> int:
     return EXIT_OK if state.converged else EXIT_NONCONV
 
 
-def _sweep_rows(result: mc.SweepResult) -> list[dict]:
-    # json writes the flags tuple as a list
-    return [{col: getattr(r, attr) for col, attr in mc.SWEEP_FIELDS} for r in result.rows]
-
-
 def _run_simulate(cfg: RunConfig, args) -> int:
-    spec = build_sweep_spec(cfg, args.resolved_seed)
-    result = mc.run_sweep(spec, jobs=args.jobs)
+    _reject_unread_system_keys(cfg)
+    rows = mc.run_sweep(build_sweep_spec(cfg, args.resolved_seed), jobs=args.jobs)
     fmt = args.format or cfg.get("output", "format", "csv")
     if fmt == "csv":
-        data = mc.sweep_to_csv(result)
+        data = mc.sweep_to_csv(rows)
     else:
-        data = json.dumps(_json_safe(_sweep_rows(result)), indent=2) + "\n"
+        # json writes the flags tuple as a list
+        doc = [{col: getattr(r, attr) for col, attr in mc.SWEEP_FIELDS} for r in rows]
+        data = json.dumps(_json_safe(doc), indent=2) + "\n"
     _emit(cfg, data, args.output)
     return EXIT_OK
 
 
 def _run_compare(cfg: RunConfig, args) -> int:
+    _reject_unread_system_keys(cfg)
     input_path = cfg.get("output", "input")
     if input_path:
         with open(input_path, encoding="utf-8") as fh:
             rows = mc.rows_from_csv(fh.read())
-        spec = build_sweep_spec(cfg, args.resolved_seed)
-        result = mc.SweepResult(spec=spec, rows=rows)
     else:
-        spec = build_sweep_spec(cfg, args.resolved_seed)
-        result = mc.run_sweep(spec, jobs=args.jobs)
-    table = mc.compare_replica(result)
-    _emit(cfg, mc.comparison_to_csv(table), args.output)
+        rows = mc.run_sweep(build_sweep_spec(cfg, args.resolved_seed), jobs=args.jobs)
+    _emit(cfg, mc.comparison_to_csv(mc.compare_replica(rows)), args.output)
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="replica-cs",
@@ -338,12 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_seed(args, cfg: RunConfig) -> int:
     if args.seed is not None:
         return args.seed
-    raw = cfg.get("sweep", "seed")
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.seed must be an integer, got {raw!r}") from exc
+    seed = _value(cfg, "sweep", "seed", int)
+    if seed is not None:
+        return seed
     env = os.environ.get("REPLICA_CS_SEED")
     if env is not None:
         try:

@@ -4,18 +4,15 @@ Every estimator is a deterministic function of the instance and its
 parameters and returns an :class:`EstimateReport` carrying an optimality
 certificate: the normal-equation residual for the linear estimators, the
 subgradient-consistency defect for LASSO, and the bare objective for the
-L0 heuristics.
+L0 heuristic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
-
-EXHAUSTIVE_MAX_N = 14
 
 
 @dataclass
@@ -213,47 +210,11 @@ def _iht(inst: Instance, gamma: float, max_iter: int = 2000, tol: float = 1e-10)
     return x, it, converged
 
 
-def _exhaustive_l0(inst: Instance, gamma: float) -> np.ndarray:
-    A, y = inst.A, inst.y
-    M, N = A.shape
-    if N > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive L0 limited to N <= {EXHAUSTIVE_MAX_N}, got N={N}")
-    best = np.zeros(N)
-    best_obj = l0_objective(inst, best, gamma)
-    for k in range(1, min(N, M) + 1):
-        if k >= best_obj:
-            break  # every k-support costs at least k
-        for s in combinations(range(N), k):
-            cols = A[:, s]
-            xs, *_ = np.linalg.lstsq(cols, y, rcond=None)
-            r = y - cols @ xs
-            obj = float(r @ r) / (2.0 * gamma) + k
-            if obj < best_obj:
-                best_obj = obj
-                best = np.zeros(N)
-                best[list(s)] = xs
-    return best
-
-
-def estimate_l0(
-    inst: Instance,
-    gamma: float,
-    mode: str = "iht",
-) -> EstimateReport:
-    """L0-penalized estimate: IHT heuristic or exact support enumeration."""
+def estimate_l0(inst: Instance, gamma: float) -> EstimateReport:
+    """L0-penalized estimate by the IHT heuristic; the objective is its certificate."""
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if mode == "iht":
-        x, it, converged = _iht(inst, gamma)
-        return EstimateReport(
-            xhat=x, objective=l0_objective(inst, x, gamma),
-            certificate=l0_objective(inst, x, gamma), iterations=it,
-            converged=converged,
-        )
-    if mode == "exhaustive":
-        x = _exhaustive_l0(inst, gamma)
-        return EstimateReport(
-            xhat=x, objective=l0_objective(inst, x, gamma),
-            certificate=0.0, flags=["exact"],
-        )
-    raise ValueError(f"mode must be 'iht' or 'exhaustive', got {mode!r}")
+    x, it, converged = _iht(inst, gamma)
+    obj = l0_objective(inst, x, gamma)
+    return EstimateReport(xhat=x, objective=obj, certificate=obj, iterations=it,
+                          converged=converged)

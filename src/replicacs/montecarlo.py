@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +55,10 @@ class SweepSpec:
     grid: tuple[float, ...]
     N: int = 200
     trials: int = 200
-    snr_db: float = 10.0
+    snr_db: float = PRESETS["default"]["snr_db"]
     estimators: tuple[str, ...] = ("lmmse", "lasso")
     seed: int = 0
-    rho: float = 0.1
+    rho: float = SignalPrior.rho
     m_over_n: float = 0.5
     gamma: float | None = None
     include_rsb: bool = True
@@ -110,12 +110,6 @@ SWEEP_FIELDS = (
 CSV_HEADER = ",".join(col for col, _ in SWEEP_FIELDS)
 
 
-@dataclass
-class SweepResult:
-    spec: SweepSpec
-    rows: list[SweepRow] = field(default_factory=list)
-
-
 def ensemble_sigma0_sq(alpha: float, prior: SignalPrior, snr_db: float) -> float:
     """Noise variance hitting the target SNR on ensemble average.
 
@@ -146,63 +140,63 @@ def generate_instance(N: int, M: int, prior: SignalPrior, snr_db: float, seed) -
     return Instance(A=A, x0=x0, w=w, y=A @ x0 + sigma0 * w, sigma0=sigma0)
 
 
+def replica_system(
+    alpha: float,
+    prior: SignalPrior,
+    kind: str,
+    snr_db: float,
+    gamma: float | None = None,
+    sigma_u2: float | None = None,
+    sigma_0_sq: float | None = None,
+    **controls,
+) -> SystemConfig:
+    """The replica system of one penalty at load alpha; ``controls`` go to SystemConfig.
+
+    sigma_0^2 follows the SNR unless given.  sigma_u^2 defaults to sigma_0^2,
+    or 1 without noise.  gamma defaults to sigma_u^2 when that is given, and
+    to :func:`matched_gamma` otherwise.
+    """
+    if sigma_0_sq is None:
+        sigma_0_sq = ensemble_sigma0_sq(alpha, prior, snr_db)
+    if gamma is None:
+        gamma = matched_gamma(sigma_0_sq) if sigma_u2 is None else sigma_u2
+    if sigma_u2 is None:
+        sigma_u2 = sigma_0_sq if sigma_0_sq > 0 else 1.0
+    return SystemConfig(alpha=alpha, prior=prior, penalty=Penalty(kind, gamma, sigma_u2),
+                        sigma_0_sq=sigma_0_sq, **controls)
+
+
 @dataclass(frozen=True)
 class _GridPoint:
-    control: float
     M: int
     rho: float
-    gamma: float
-    sigma0_sq: float
-    snr_db: float
+    gamma: float  # the estimators' penalty weight
 
 
 def _grid_point(spec: SweepSpec, value: float) -> _GridPoint:
     if spec.control == "measurement_ratio":
-        M = max(1, round(value * spec.N))
-        rho = spec.rho
-        gamma = spec.gamma
+        M, rho, gamma = round(value * spec.N), spec.rho, spec.gamma
     elif spec.control == "sparsity_ratio":
-        M = max(1, round(spec.m_over_n * spec.N))
-        rho = value
-        gamma = spec.gamma
+        M, rho, gamma = round(spec.m_over_n * spec.N), value, spec.gamma
     else:
-        M = max(1, round(spec.m_over_n * spec.N))
-        rho = spec.rho
-        gamma = value
-    alpha = spec.N / M
-    sigma0_sq = ensemble_sigma0_sq(alpha, SignalPrior(rho), spec.snr_db)
-    if gamma is None:
-        gamma = matched_gamma(sigma0_sq)
-    return _GridPoint(
-        control=value, M=M, rho=rho, gamma=gamma, sigma0_sq=sigma0_sq, snr_db=spec.snr_db
-    )
+        M, rho, gamma = round(spec.m_over_n * spec.N), spec.rho, value
+    M = max(1, M)
+    if gamma is None:  # the lasso row's matched weight
+        gamma = replica_system(spec.N / M, SignalPrior(rho), "l1", spec.snr_db).penalty.gamma
+    return _GridPoint(M=M, rho=rho, gamma=gamma)
 
 
-# MAP penalty matching each estimator.  The L2 closed form
-# A^T (A A^T + gamma I)^{-1} y solves the MAP problem with penalty weight
-# gamma/2 because the per-component penalty is x^2, not x^2/2.
-def _estimator_penalty(name: str, gp: _GridPoint) -> Penalty:
-    su2 = gp.sigma0_sq if gp.sigma0_sq > 0 else 1.0
-    if name == "lmmse":
-        return Penalty("l2", gp.gamma / 2.0, su2)
-    if name == "lasso":
-        return Penalty("l1", gp.gamma, su2)
-    if name == "l0":
-        return Penalty("l0", gp.gamma, su2)
-    return Penalty("l2", 0.0, su2)  # ls
+#: Sweep estimator -> (MAP penalty, factor on the grid point's gamma).  The
+#: L2 closed form A^T (A A^T + gamma I)^{-1} y solves the MAP problem with
+#: penalty weight gamma/2 because the per-component penalty is x^2, not x^2/2.
+ROW_PENALTY = {"ls": ("l2", 0.0), "lmmse": ("l2", 0.5), "lasso": ("l1", 1.0), "l0": ("l0", 1.0)}
 
 
 def _replica_columns(spec: SweepSpec, gp: _GridPoint, name: str):
-    penalty = _estimator_penalty(name, gp)
+    kind, factor = ROW_PENALTY[name]
+    cfg = replica_system(spec.N / gp.M, SignalPrior(gp.rho), kind, spec.snr_db,
+                         gamma=factor * gp.gamma, channel=CALIBRATED)
     flags: list[str] = []
-    alpha = spec.N / gp.M
-    cfg = SystemConfig(
-        alpha=alpha,
-        prior=SignalPrior(gp.rho),
-        penalty=penalty,
-        sigma_0_sq=gp.sigma0_sq,
-        channel=CALIBRATED,
-    )
     rs_state = rs_solve(cfg)
     rs_pred: float | None = rs_state.q0
     if not rs_state.converged:
@@ -247,17 +241,17 @@ def _run_trial(payload) -> dict[str, tuple[float, bool] | None]:
     return out
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
-    """Execute the sweep; deterministic for any jobs value given the seed.
+def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
+    """Execute the sweep; its rows are deterministic for any jobs value given the seed.
 
     Unconverged estimates are averaged in and counted in a
     ``<name>_nonconv=k`` flag; numeric failures are left out and counted in
     ``<name>_failures=k``.
     """
-    result = SweepResult(spec=spec)
+    rows: list[SweepRow] = []
     points = [_grid_point(spec, value) for value in spec.grid]
     payloads = [
-        (spec.N, gp.M, gp.rho, gp.snr_db, gp.gamma, spec.estimators, (spec.seed, gi, ti))
+        (spec.N, gp.M, gp.rho, spec.snr_db, gp.gamma, spec.estimators, (spec.seed, gi, ti))
         for gi, gp in enumerate(points)
         for ti in range(spec.trials)
     ]
@@ -296,8 +290,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
                     rsb_prediction=rsb_pred,
                     flags=tuple(flags),
                 )
-            result.rows.append(row)
-    return result
+            rows.append(row)
+    return rows
 
 
 @dataclass
@@ -317,10 +311,10 @@ COMPARISON_FIELDS = (
 )
 
 
-def compare_replica(sweep: SweepResult) -> list[ComparisonRow]:
+def compare_replica(rows: list[SweepRow]) -> list[ComparisonRow]:
     """Relative (empirical - predicted)/predicted gap per row, guarded."""
     out = []
-    for row in sweep.rows:
+    for row in rows:
         pred = row.rs_prediction
         if pred is None:
             out.append(ComparisonRow(row.control, row.estimator, row.mse_mean,
@@ -359,10 +353,10 @@ def _parse_cell(attr: str, text: str):
     return None if text == "" else float(text)
 
 
-def sweep_to_csv(result: SweepResult) -> str:
+def sweep_to_csv(rows: list[SweepRow]) -> str:
     """Stable-schema CSV; numbers at 17 significant digits, locale-free."""
     lines = [CSV_HEADER]
-    for r in result.rows:
+    for r in rows:
         lines.append(",".join(_cell(getattr(r, attr)) for _, attr in SWEEP_FIELDS))
     return "\n".join(lines) + "\n"
 

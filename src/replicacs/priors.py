@@ -30,7 +30,7 @@ PENALTY_KINDS = ("l0", "l1", "l2")
 class SignalPrior:
     """Bernoulli-Gaussian mixture: zero w.p. 1-rho, else N(0, active_variance)."""
 
-    rho: float
+    rho: float = 0.1
     active_variance: float = 1.0
 
     def __post_init__(self) -> None:

@@ -43,7 +43,7 @@ evaluates the closed-form limiting energy from any state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import quadrature as quad
 from .priors import Penalty, SignalPrior, prox  # noqa: F401 (perfbench counts rs.prox calls)
@@ -116,30 +116,10 @@ class RsState:
     kappa: float | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "q0": self.q0,
-            "b0": self.b0,
-            "e0": self.e0,
-            "f0": self.f0,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "channel": self.channel,
-        }
-        if self.kappa is not None:
-            out["kappa"] = self.kappa
+        out = asdict(self)
+        if self.kappa is None:
+            del out["kappa"]
         return out
-
-
-def rs_conjugates(cfg: SystemConfig, q0: float, b0: float) -> tuple[float, float]:
-    """Printed conjugate pair (e0, f0) from (q0, b0) with the MP transform."""
-    if q0 < 0.0:
-        raise ValueError(f"q0 must be nonnegative, got {q0}")
-    su2 = cfg.penalty.sigma_u2
-    law = cfg.law
-    e0 = r_transform(law, -b0 / su2) / su2
-    f0 = math.sqrt(2.0 * (q0 / su2**2) * r_transform_derivative(law, -b0 / su2))
-    return e0, f0
 
 
 def _channel(cfg: SystemConfig, kappa: float, tau: float) -> tuple[float, float, float]:

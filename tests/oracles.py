@@ -10,10 +10,15 @@ support, which gives an independent check of :func:`r_transform`.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
-from replicacs.spectral import POLE_TOL, SpectralLaw, r_transform
+from replicacs.estimators import Instance, l0_objective
+from replicacs.rs import SystemConfig
+from replicacs.spectral import POLE_TOL, SpectralLaw, r_transform, r_transform_derivative
+
+EXHAUSTIVE_MAX_N = 14
 
 
 class BranchError(ArithmeticError):
@@ -104,3 +109,37 @@ def cd_lasso(A: np.ndarray, y: np.ndarray, gamma: float, sweeps: int, tol: float
         if delta < tol:
             break
     return x
+
+
+def exhaustive_l0(inst: Instance, gamma: float) -> np.ndarray:
+    """Exact L0 MAP estimate by enumerating supports: the oracle for IHT (N <= 14)."""
+    A, y = inst.A, inst.y
+    M, N = A.shape
+    if N > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive L0 limited to N <= {EXHAUSTIVE_MAX_N}, got N={N}")
+    best = np.zeros(N)
+    best_obj = l0_objective(inst, best, gamma)
+    for k in range(1, min(N, M) + 1):
+        if k >= best_obj:
+            break  # every k-support costs at least k
+        for s in combinations(range(N), k):
+            cols = A[:, s]
+            xs, *_ = np.linalg.lstsq(cols, y, rcond=None)
+            r = y - cols @ xs
+            obj = float(r @ r) / (2.0 * gamma) + k
+            if obj < best_obj:
+                best_obj = obj
+                best = np.zeros(N)
+                best[list(s)] = xs
+    return best
+
+
+def rs_conjugates(cfg: SystemConfig, q0: float, b0: float) -> tuple[float, float]:
+    """Printed conjugate pair (e0, f0) from (q0, b0) with the MP transform."""
+    if q0 < 0.0:
+        raise ValueError(f"q0 must be nonnegative, got {q0}")
+    su2 = cfg.penalty.sigma_u2
+    law = cfg.law
+    e0 = r_transform(law, -b0 / su2) / su2
+    f0 = math.sqrt(2.0 * (q0 / su2**2) * r_transform_derivative(law, -b0 / su2))
+    return e0, f0

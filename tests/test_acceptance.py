@@ -9,12 +9,13 @@ import time
 
 import numpy as np
 import pytest
-from oracles import cd_lasso, empirical_spectral_moments
+from oracles import cd_lasso, empirical_spectral_moments, exhaustive_l0, rs_conjugates
 
 from replicacs.estimators import (
     estimate_l0,
     estimate_lasso,
     estimate_lmmse,
+    l0_objective,
     lasso_objective,
 )
 from replicacs.montecarlo import SweepSpec, generate_instance, run_sweep
@@ -29,7 +30,6 @@ from replicacs.rs import (
     CALIBRATED,
     RsState,
     SystemConfig,
-    rs_conjugates,
     rs_energy,
     rs_solve,
 )
@@ -227,8 +227,8 @@ def test_criterion_08_fig1_l1_beats_l2():
         rho=RHO,
         include_rsb=False,
     )
-    res = run_sweep(spec, jobs=4)
-    by_est = {(r.control, r.estimator): r.mse_mean for r in res.rows}
+    rows = run_sweep(spec, jobs=4)
+    by_est = {(r.control, r.estimator): r.mse_mean for r in rows}
     details = []
     for mn in MN_GRID:
         l1 = by_est[(mn, "lasso")]
@@ -252,13 +252,13 @@ def test_criterion_09_fig2_lmmse_insensitive_to_sparsity():
         m_over_n=0.5,
         include_rsb=False,
     )
-    res = run_sweep(spec, jobs=4)
+    rows = run_sweep(spec, jobs=4)
     # the figure's normalized MSE: per-component error over per-component
     # signal power rho
     grid = np.array(spec.grid)
     nmse = {
         est: np.array([
-            next(r.mse_mean for r in res.rows if r.estimator == est and r.control == g) / g
+            next(r.mse_mean for r in rows if r.estimator == est and r.control == g) / g
             for g in grid
         ])
         for est in ("lmmse", "lasso")
@@ -296,9 +296,9 @@ def test_criterion_11_exact_l0_oracle():
         M = int(rng.integers(6, 11))
         inst = generate_instance(N, M, SignalPrior(0.2), SNR_DB, seed=rng.integers(1 << 31))
         gamma = max(inst.sigma0**2, 1e-3)
-        iht = estimate_l0(inst, gamma, mode="iht")
-        ex = estimate_l0(inst, gamma, mode="exhaustive")
-        assert ex.objective <= iht.objective + 1e-9
+        iht = estimate_l0(inst, gamma)
+        ex = l0_objective(inst, exhaustive_l0(inst, gamma), gamma)
+        assert ex <= iht.objective + 1e-9
         dominated += 1
     # easy instances: noiseless, exactly one active coordinate
     hits = 0
@@ -312,9 +312,9 @@ def test_criterion_11_exact_l0_oracle():
         from replicacs.estimators import Instance
 
         inst = Instance(A=A, x0=x0, w=np.zeros(M), y=A @ x0, sigma0=0.0)
-        iht = estimate_l0(inst, 0.05, mode="iht")
-        ex = estimate_l0(inst, 0.05, mode="exhaustive")
-        if abs(iht.objective - ex.objective) <= 1e-9:
+        iht = estimate_l0(inst, 0.05)
+        ex = l0_objective(inst, exhaustive_l0(inst, 0.05), 0.05)
+        if abs(iht.objective - ex) <= 1e-9:
             hits += 1
     rate = hits / easy_total
     assert rate >= 0.60, rate

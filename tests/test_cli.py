@@ -141,8 +141,8 @@ class TestVerbs:
     def test_noiseless_rs_solve_predicts_the_sweep_system(self, capsys):
         # with no noise and no gamma set, rs-solve and the sweep's RS column
         # use the same default penalty weight, so they predict the same MSE
-        system = ["--set", "rho=0.1", "--set", "penalty=l1", "--set", "snr_db=inf"]
-        assert main(["rs-solve", "--set", "alpha=2"] + system) == EXIT_OK
+        system = ["--set", "rho=0.1", "--set", "snr_db=inf"]
+        assert main(["rs-solve", "--set", "alpha=2", "--set", "penalty=l1"] + system) == EXIT_OK
         predicted = json.loads(capsys.readouterr().out)["mse_prediction"]
         sweep = [
             "--set", "sweep.control=measurement_ratio", "--set", "sweep.grid=0.5",
@@ -153,6 +153,24 @@ class TestVerbs:
                     + system + sweep) == EXIT_OK
         (row,) = json.loads(capsys.readouterr().out)
         assert predicted == row["rs_energy"]
+
+    @pytest.mark.parametrize("verb", ["simulate", "compare"])
+    def test_sweep_verbs_reject_system_keys_they_do_not_read(self, verb, capsys):
+        sweep = ["--set", "sweep.control=measurement_ratio", "--set", "sweep.grid=0.5",
+                 "--set", "sweep.n=16", "--set", "sweep.trials=1",
+                 "--set", "sweep.estimators=lmmse", "--set", "sweep.include_rsb=false"]
+        code = main([verb, "--set", "active_variance=4", "--set", "quad_order=8",
+                     "--set", "rho=0.2"] + sweep)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "system.active_variance" in err and "system.quad_order" in err
+        assert "system.rho" not in err
+
+    def test_rsb_solve_rejects_calibrated_channel(self, capsys):
+        code = main(["rsb-solve", "--set", "alpha=2", "--set", "channel=calibrated"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "config error" in err and "bare" in err
 
     def test_simulate_seed_reproducible_and_jobs_invariant(self, tmp_path):
         path = write(
@@ -207,6 +225,11 @@ class TestVerbs:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert len(out.splitlines()) == 2
+        # the file alone, without a sweep spec, gives the table of a rerun
+        assert main(["compare", "--set", f"output.input={sweep_csv}"]) == EXIT_OK
+        assert capsys.readouterr().out == out
+        assert main(["compare", "--config", path, "--seed", "2"]) == EXIT_OK
+        assert capsys.readouterr().out == out
 
     def test_simulate_json_format(self, tmp_path, capsys):
         path = write(

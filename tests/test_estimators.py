@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import cd_lasso
+from oracles import EXHAUSTIVE_MAX_N, cd_lasso, exhaustive_l0
 
 from replicacs.estimators import (
-    EXHAUSTIVE_MAX_N,
     Instance,
     _lipschitz,
     empirical_median_se,
@@ -14,6 +13,7 @@ from replicacs.estimators import (
     estimate_lasso,
     estimate_lmmse,
     estimate_ls,
+    l0_objective,
     lasso_objective,
 )
 from replicacs.montecarlo import ensemble_sigma0_sq, generate_instance
@@ -146,21 +146,21 @@ class TestL0:
         x0 = np.zeros(10)
         x0[3] = 1.5
         inst = Instance(A=A, x0=x0, w=np.zeros(6), y=A @ x0, sigma0=0.0)
-        rep = estimate_l0(inst, 0.05, mode="exhaustive")
-        np.testing.assert_allclose(rep.xhat, x0, atol=1e-8)
-        assert rep.objective == pytest.approx(1.0, abs=1e-8)
+        x = exhaustive_l0(inst, 0.05)
+        np.testing.assert_allclose(x, x0, atol=1e-8)
+        assert l0_objective(inst, x, 0.05) == pytest.approx(1.0, abs=1e-8)
 
     def test_exhaustive_dominates_iht(self):
         for seed in range(8):
             inst = make_instance(8, 12, rho=0.2, sigma0=0.05, seed=200 + seed)
-            iht = estimate_l0(inst, 0.1, mode="iht")
-            ex = estimate_l0(inst, 0.1, mode="exhaustive")
-            assert ex.objective <= iht.objective + 1e-9
+            iht = estimate_l0(inst, 0.1)
+            ex = l0_objective(inst, exhaustive_l0(inst, 0.1), 0.1)
+            assert ex <= iht.objective + 1e-9
 
     def test_exhaustive_size_cap(self):
         inst = make_instance(10, EXHAUSTIVE_MAX_N + 1, seed=10)
         with pytest.raises(ValueError):
-            estimate_l0(inst, 0.1, mode="exhaustive")
+            exhaustive_l0(inst, 0.1)
 
     def test_iht_reports_iteration_cap(self):
         N, M, prior = 200, 40, SignalPrior(0.1)
@@ -169,10 +169,6 @@ class TestL0:
         assert capped.converged is False
         assert capped.iterations == 2000
         assert estimate_l0(generate_instance(N, M, prior, 10.0, 3), gamma).converged is True
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            estimate_l0(make_instance(8, 8), 0.1, mode="greedy")
 
 
 class TestErrorMetrics:

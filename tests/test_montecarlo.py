@@ -100,16 +100,16 @@ class TestRunSweep:
     def test_square_noiseless_ls_is_exact(self):
         spec = small_spec(control="measurement_ratio", grid=(1.0,), snr_db=math.inf,
                           estimators=("ls",), trials=3)
-        res = run_sweep(spec)
-        assert len(res.rows) == 1
-        assert res.rows[0].mse_mean < 1e-10
+        rows = run_sweep(spec)
+        assert len(rows) == 1
+        assert rows[0].mse_mean < 1e-10
 
     def test_row_layout(self):
         spec = small_spec()
-        res = run_sweep(spec)
-        assert len(res.rows) == len(spec.grid) * len(spec.estimators)
-        assert [r.control for r in res.rows] == [0.5, 0.5, 1.0, 1.0]
-        assert all(r.mse_mean >= 0.0 for r in res.rows)
+        rows = run_sweep(spec)
+        assert len(rows) == len(spec.grid) * len(spec.estimators)
+        assert [r.control for r in rows] == [0.5, 0.5, 1.0, 1.0]
+        assert all(r.mse_mean >= 0.0 for r in rows)
 
     def test_determinism_bit_identical(self):
         spec = small_spec()
@@ -125,13 +125,12 @@ class TestRunSweep:
 
     def test_stderr_none_for_single_trial(self):
         spec = small_spec(trials=1, grid=(0.5,))
-        res = run_sweep(spec)
-        assert all(r.mse_stderr is None for r in res.rows)
+        assert all(r.mse_stderr is None for r in run_sweep(spec))
 
     def test_stderr_shrinks_like_root_trials(self):
         lo = run_sweep(small_spec(trials=25, grid=(0.5,), estimators=("lmmse",)))
         hi = run_sweep(small_spec(trials=100, grid=(0.5,), estimators=("lmmse",)))
-        ratio = lo.rows[0].mse_stderr / hi.rows[0].mse_stderr
+        ratio = lo[0].mse_stderr / hi[0].mse_stderr
         # 1/sqrt(trials) scaling predicts 2; allow sampling slack
         assert 1.3 < ratio < 3.0
 
@@ -166,15 +165,14 @@ class TestRunSweep:
 
     def test_replica_columns_present_with_rsb(self):
         spec = small_spec(trials=2, grid=(0.5,), estimators=("lmmse",), include_rsb=True)
-        res = run_sweep(spec)
-        row = res.rows[0]
+        row = run_sweep(spec)[0]
         assert row.rs_prediction is not None
         assert row.rsb_prediction is not None
         assert "rsb_collapsed" in row.flags
 
     def test_l2_rows_track_prediction_even_small_n(self):
         spec = small_spec(N=128, trials=24, grid=(0.5,), estimators=("lmmse",))
-        row = run_sweep(spec).rows[0]
+        row = run_sweep(spec)[0]
         assert row.rs_prediction == pytest.approx(row.mse_mean, rel=0.25)
 
     def test_estimator_bug_propagates(self, monkeypatch):
@@ -198,7 +196,7 @@ class TestRunSweep:
                                   certificate=math.inf, converged=False)
 
         monkeypatch.setattr(mc, "estimate_lasso", stalled)
-        lmmse, lasso = run_sweep(small_spec(trials=3, grid=(0.5,)), jobs=1).rows
+        lmmse, lasso = run_sweep(small_spec(trials=3, grid=(0.5,)), jobs=1)
         assert "lasso_nonconv=3" in lasso.flags
         assert lasso.mse_mean > 0.0
         assert not any("nonconv" in f for f in lmmse.flags)
@@ -216,20 +214,16 @@ class TestCompareReplica:
         )
 
     def test_zero_prediction_switches_to_absolute(self):
-        from replicacs.montecarlo import SweepResult, SweepRow
+        from replicacs.montecarlo import SweepRow
 
-        res = SweepResult(spec=small_spec())
-        res.rows.append(SweepRow(0.5, "lasso", 0.0, None, 0.0, 0.0, None, ()))
-        row = compare_replica(res)[0]
+        row = compare_replica([SweepRow(0.5, "lasso", 0.0, None, 0.0, 0.0, None, ())])[0]
         assert row.absolute_gap
         assert row.gap == 0.0
 
     def test_missing_prediction_gives_none(self):
-        from replicacs.montecarlo import SweepResult, SweepRow
+        from replicacs.montecarlo import SweepRow
 
-        res = SweepResult(spec=small_spec())
-        res.rows.append(SweepRow(0.5, "lasso", 0.1, None, 0.1, None, None, ("rs_nonconv",)))
-        row = compare_replica(res)[0]
+        row = compare_replica([SweepRow(0.5, "lasso", 0.1, None, 0.1, None, None, ("rs_nonconv",))])[0]
         assert row.gap is None
         assert "rs_nonconv" in row.flags
 
@@ -237,11 +231,10 @@ class TestCompareReplica:
 class TestCsv:
     def test_round_trip_lossless(self):
         spec = small_spec(trials=3)
-        res = run_sweep(spec)
-        text = sweep_to_csv(res)
-        rows = rows_from_csv(text)
-        assert len(rows) == len(res.rows)
-        for got, want in zip(rows, res.rows):
+        want_rows = run_sweep(spec)
+        rows = rows_from_csv(sweep_to_csv(want_rows))
+        assert len(rows) == len(want_rows)
+        for got, want in zip(rows, want_rows):
             assert got.control == want.control
             assert got.estimator == want.estimator
             assert got.mse_mean == want.mse_mean

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import rs_conjugates
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -15,7 +16,6 @@ from replicacs.rs import (
     _channel,
     default_init,
     predict_mse,
-    rs_conjugates,
     rs_energy,
     rs_solve,
     rs_update,

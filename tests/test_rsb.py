@@ -149,7 +149,9 @@ class TestUpdate:
         # with the y channel off and q1 = q0, the sqrt(2) f1 disturbance
         # equals the RS f0, so the moment updates match the RS right-hand
         # sides
-        from replicacs.rs import _bare_moments, rs_conjugates
+        from oracles import rs_conjugates
+
+        from replicacs.rs import _bare_moments
 
         cfg = make_cfg("l1", alpha=1.0, quad_order=40)
         rs = rs_solve(cfg)
